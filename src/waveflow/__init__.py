@@ -4,6 +4,11 @@ The package factors an image density into an unconditional model of the
 coarsest wavelet residue times per-level conditional flows of detail
 coefficients given the low-pass image below them.  Per-level bits per
 dimension, averaged over the informative levels, is the anomaly score.
+
+Every model graph API takes (N,C,H,W) batches; a single image is a batch
+with N=1.  The single-image entry points ``WaveletFlowModel.score``,
+``FlowModel.log_density`` and the two ``sample`` methods take or return
+one (C,H,W) image.
 """
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -26,19 +31,11 @@ from .flows import (
     LogDensity,
     build_glow,
     coupling_parameter_count,
-    flow_log_likelihood,
-    flow_sample,
 )
 from .haar import HaarLevel, HaarPyramid, build_pyramid, haar_forward, haar_inverse, reconstruct
 from .masks import STRATEGIES, MaskError, make_mask
 from .train import AugmentConfig, TrainConfig, TrainHistory, augment, dequantize, train
-from .waveletflow import (
-    LikelihoodReport,
-    WaveletFlowModel,
-    build_waveletflow,
-    score_image,
-    wf_sample,
-)
+from .waveletflow import LikelihoodReport, WaveletFlowModel, build_waveletflow
 
 __version__ = "0.1.0"
 
@@ -67,8 +64,6 @@ __all__ = [
     "build_waveletflow",
     "coupling_parameter_count",
     "dequantize",
-    "flow_log_likelihood",
-    "flow_sample",
     "generate_synthetic",
     "haar_forward",
     "haar_inverse",
@@ -82,11 +77,9 @@ __all__ = [
     "roc_points",
     "save_checkpoint",
     "save_image",
-    "score_image",
     "summarize",
     "train",
     "wavelet_magnitude_score",
-    "wf_sample",
     "write_manifest",
     "__version__",
 ]

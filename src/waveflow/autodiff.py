@@ -5,7 +5,9 @@ coupling networks and density objectives need: 3x3 same-padding
 convolution, a handful of elementwise functions, channel-wise affine
 transforms, the structural rearrangements used by multi-scale flows,
 and Adam.  Shapes are checked strictly: binary operations accept equal
-shapes or a scalar on one side, nothing else.
+shapes or a scalar on one side, nothing else, and every image operation
+(convolution, channel and squeeze rearrangements) takes a (N,C,H,W)
+batch; a single image is a batch with N=1.
 """
 from __future__ import annotations
 
@@ -256,72 +258,61 @@ def reduce_sum(a, axes: tuple[int, ...] | None = None) -> Tensor:
     return Tensor(out, (a,), back)
 
 
-def _channel_axis(data: np.ndarray) -> int:
-    if data.ndim not in (3, 4):
-        raise ShapeError(f"expected (C,H,W) or (N,C,H,W), got shape {data.shape}")
-    return data.ndim - 3
+def _check_batch(data: np.ndarray, op: str) -> None:
+    if data.ndim != 4:
+        raise ShapeError(f"{op} expects (N,C,H,W), got shape {data.shape}")
 
 
 def concat_channels(parts: list[Tensor]) -> Tensor:
     if not parts:
         raise ShapeError("concat_channels requires at least one tensor")
     parts = [_wrap(p) for p in parts]
-    axis = _channel_axis(parts[0].data)
-    for p in parts[1:]:
-        if p.data.ndim != parts[0].data.ndim:
-            raise ShapeError("concat_channels operands must share rank")
-        if p.data.shape[:axis] + p.data.shape[axis + 1 :] != parts[0].data.shape[:axis] + parts[0].data.shape[axis + 1 :]:
+    for p in parts:
+        _check_batch(p.data, "concat_channels")
+        if p.data.shape[:1] + p.data.shape[2:] != parts[0].data.shape[:1] + parts[0].data.shape[2:]:
             raise ShapeError("concat_channels operands must agree outside the channel axis")
-    out = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    out = np.concatenate([p.data for p in parts], axis=1)
+    offsets = np.cumsum([0] + [p.data.shape[1] for p in parts])
 
     def back(g):
-        return tuple(
-            np.take(g, range(offsets[i], offsets[i + 1]), axis=axis) for i in range(len(parts))
-        )
+        return tuple(g[:, offsets[i] : offsets[i + 1]] for i in range(len(parts)))
 
     return Tensor(out, tuple(parts), back)
 
 
 def slice_channels(a, start: int, stop: int) -> Tensor:
     a = _wrap(a)
-    axis = _channel_axis(a.data)
-    channels = a.data.shape[axis]
+    _check_batch(a.data, "slice_channels")
+    channels = a.data.shape[1]
     if not (0 <= start < stop <= channels):
         raise ShapeError(f"channel slice [{start}:{stop}] out of range for {channels} channels")
-    sl = [slice(None)] * a.data.ndim
-    sl[axis] = slice(start, stop)
-    sl = tuple(sl)
 
     def back(g):
         full = np.zeros_like(a.data)
-        full[sl] = g
+        full[:, start:stop] = g
         return (full,)
 
-    return Tensor(a.data[sl], (a,), back)
+    return Tensor(a.data[:, start:stop], (a,), back)
 
 
 def channel_affine(x, scale, offset) -> Tensor:
-    """Per-channel (x - offset) * scale for (C,H,W) or (N,C,H,W) input."""
+    """Per-channel (x - offset) * scale for (N,C,H,W) input."""
     x, scale, offset = _wrap(x), _wrap(scale), _wrap(offset)
-    axis = _channel_axis(x.data)
-    C = x.data.shape[axis]
+    _check_batch(x.data, "channel_affine")
+    C = x.data.shape[1]
     if scale.data.shape != (C,) or offset.data.shape != (C,):
         raise ShapeError(
             f"channel_affine expects scale/offset of shape ({C},), got {scale.data.shape} and {offset.data.shape}"
         )
-    view = (C,) + (1, 1)
-    s_view = scale.data.reshape(view)
-    o_view = offset.data.reshape(view)
+    s_view = scale.data.reshape(C, 1, 1)
+    o_view = offset.data.reshape(C, 1, 1)
     centered = x.data - o_view
     out = centered * s_view
-    reduce_axes = tuple(i for i in range(x.data.ndim) if i != axis)
 
     def back(g):
         gx = g * s_view
-        gscale = np.sum(g * centered, axis=reduce_axes)
-        goffset = -np.sum(g, axis=reduce_axes) * scale.data
+        gscale = np.sum(g * centered, axis=(0, 2, 3))
+        goffset = -np.sum(g, axis=(0, 2, 3)) * scale.data
         return (gx, gscale, goffset)
 
     return Tensor(out, (x, scale, offset), back)
@@ -329,49 +320,39 @@ def channel_affine(x, scale, offset) -> Tensor:
 
 def reverse_channels(a) -> Tensor:
     a = _wrap(a)
-    axis = _channel_axis(a.data)
-    out = np.flip(a.data, axis=axis).copy()
-
-    def back(g):
-        return (np.flip(g, axis=axis),)
-
-    return Tensor(out, (a,), back)
+    _check_batch(a.data, "reverse_channels")
+    out = np.flip(a.data, axis=1).copy()
+    return Tensor(out, (a,), lambda g: (np.flip(g, axis=1),))
 
 
 def squeeze2x2_array(d: np.ndarray) -> np.ndarray:
-    """Space-to-depth: (..., C, 2h, 2w) -> (..., 4C, h, w), row-major blocks."""
-    *lead, C, H, W = d.shape
+    """Space-to-depth: (N, C, 2h, 2w) -> (N, 4C, h, w), row-major blocks."""
+    _check_batch(d, "squeeze")
+    N, C, H, W = d.shape
     if H % 2 or W % 2:
         raise ShapeError(f"squeeze needs even spatial dims, got {H}x{W}")
     h, w = H // 2, W // 2
-    nl = len(lead)
-    view = d.reshape(*lead, C, h, 2, w, 2)
-    perm = tuple(range(nl)) + (nl, nl + 2, nl + 4, nl + 1, nl + 3)
-    return view.transpose(perm).reshape(*lead, 4 * C, h, w)
+    return d.reshape(N, C, h, 2, w, 2).transpose(0, 1, 3, 5, 2, 4).reshape(N, 4 * C, h, w)
 
 
 def unsqueeze2x2_array(d: np.ndarray) -> np.ndarray:
     """Depth-to-space inverse of :func:`squeeze2x2_array`."""
-    *lead, C4, h, w = d.shape
+    _check_batch(d, "unsqueeze")
+    N, C4, h, w = d.shape
     if C4 % 4:
         raise ShapeError(f"unsqueeze needs a channel count divisible by 4, got {C4}")
     C = C4 // 4
-    nl = len(lead)
-    view = d.reshape(*lead, C, 2, 2, h, w)
-    perm = tuple(range(nl)) + (nl, nl + 3, nl + 1, nl + 4, nl + 2)
-    return view.transpose(perm).reshape(*lead, C, 2 * h, 2 * w)
+    return d.reshape(N, C, 2, 2, h, w).transpose(0, 1, 4, 2, 5, 3).reshape(N, C, 2 * h, 2 * w)
 
 
 def squeeze2x2(a) -> Tensor:
     a = _wrap(a)
-    _channel_axis(a.data)
     out = squeeze2x2_array(a.data)
     return Tensor(out, (a,), lambda g: (unsqueeze2x2_array(g),))
 
 
 def unsqueeze2x2(a) -> Tensor:
     a = _wrap(a)
-    _channel_axis(a.data)
     out = unsqueeze2x2_array(a.data)
     return Tensor(out, (a,), lambda g: (squeeze2x2_array(g),))
 
@@ -391,35 +372,28 @@ def _im2col(xp: np.ndarray, H: int, W: int) -> np.ndarray:
 def conv2d(x, weight, bias) -> Tensor:
     """3x3 cross-correlation with same zero padding and stride 1.
 
-    ``x`` is (C,H,W) or (N,C,H,W); ``weight`` is (C_out, C_in, 3, 3);
-    ``bias`` is (C_out,).
+    ``x`` is (N,C,H,W); ``weight`` is (C_out, C_in, 3, 3); ``bias`` is (C_out,).
     """
     x, weight, bias = _wrap(x), _wrap(weight), _wrap(bias)
     if weight.data.ndim != 4 or weight.data.shape[2:] != (3, 3):
         raise ShapeError(f"conv2d weight must be (C_out, C_in, 3, 3), got {weight.data.shape}")
-    batched = x.data.ndim == 4
-    if x.data.ndim not in (3, 4):
-        raise ShapeError(f"conv2d input must be (C,H,W) or (N,C,H,W), got {x.data.shape}")
-    xd = x.data if batched else x.data[None]
-    N, Cin, H, W = xd.shape
+    _check_batch(x.data, "conv2d")
+    N, Cin, H, W = x.data.shape
     Cout = weight.data.shape[0]
     if weight.data.shape[1] != Cin:
         raise ShapeError(f"conv2d input has {Cin} channels but weight expects {weight.data.shape[1]}")
     if bias.data.shape != (Cout,):
         raise ShapeError(f"conv2d bias must be ({Cout},), got {bias.data.shape}")
 
-    xp = np.pad(xd, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
     cols = _im2col(xp, H, W)
     # Flat kernel layout (di, dj, c_in) matches the patch layout above.
     wf = weight.data.transpose(0, 2, 3, 1).reshape(Cout, 9 * Cin)
     out = np.matmul(wf, cols)  # (N, Cout, H*W)
     out = out.reshape(N, Cout, H, W) + bias.data.reshape(1, Cout, 1, 1)
-    if not batched:
-        out = out[0]
 
     def back(g):
-        gb = g if batched else g[None]
-        gflat = gb.reshape(N, Cout, H * W)
+        gflat = g.reshape(N, Cout, H * W)
         dbias = gflat.sum(axis=(0, 2))
         dwf = np.matmul(gflat, cols.transpose(0, 2, 1)).sum(axis=0)  # (Cout, 9Cin)
         dweight = dwf.reshape(Cout, 3, 3, Cin).transpose(0, 3, 1, 2)
@@ -432,8 +406,7 @@ def conv2d(x, weight, bias) -> Tensor:
                     N, Cin, H, W
                 )
                 k += 1
-        gx = gxp[:, :, 1 : 1 + H, 1 : 1 + W]
-        return ((gx if batched else gx[0]), dweight, dbias)
+        return (gxp[:, :, 1 : 1 + H, 1 : 1 + W], dweight, dbias)
 
     return Tensor(out, (x, weight, bias), back)
 

@@ -3,7 +3,9 @@
 The file stores the architecture needed to rebuild the model, the
 data-dependent-init state of every activation-normalization layer, and
 each parameter array as base64 over little-endian 64-bit floats, so a
-round trip reproduces likelihoods bit for bit on any platform.
+round trip reproduces likelihoods bit for bit on any platform.  Loading
+checks every field's JSON type and rejects non-finite parameter values, so
+a damaged file fails with :class:`CheckpointError`.
 """
 from __future__ import annotations
 
@@ -25,12 +27,29 @@ class CheckpointError(ValueError):
     """Raised when a checkpoint file cannot be decoded or does not match."""
 
 
+# JSON type of every architecture field, per model family.
+_ARCHITECTURE_FIELDS = {
+    "glow": {
+        "K": int,
+        "L": int,
+        "in_channels": int,
+        "image_size": int,
+        "cond_channels": int,
+        "mask_strategy": str,
+        "hidden": int,
+    },
+    "waveletflow": {"image_size": int, "steps_per_level": dict, "mask_strategy": str, "hidden": int},
+}
+
+
 def _encode_array(a: np.ndarray) -> str:
     buf = np.ascontiguousarray(a, dtype="<f8").tobytes()
     return base64.b64encode(buf).decode("ascii")
 
 
-def _decode_array(text: str, shape: list[int], name: str) -> np.ndarray:
+def _decode_array(text: str, shape: tuple[int, ...], name: str) -> np.ndarray:
+    if not isinstance(text, str):
+        raise CheckpointError(f"parameter '{name}' payload must be a base64 string")
     try:
         raw = base64.b64decode(text.encode("ascii"), validate=True)
     except (ValueError, UnicodeEncodeError) as exc:
@@ -40,7 +59,26 @@ def _decode_array(text: str, shape: list[int], name: str) -> np.ndarray:
         raise CheckpointError(
             f"parameter '{name}' is truncated: got {len(raw)} bytes, expected {expected}"
         )
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    array = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    if not np.all(np.isfinite(array)):
+        raise CheckpointError(f"parameter '{name}' has non-finite values")
+    return array
+
+
+def _check_architecture(family, arch) -> None:
+    if not isinstance(family, str) or family not in _ARCHITECTURE_FIELDS:
+        raise CheckpointError(f"unknown model family {family!r}")
+    if not isinstance(arch, dict):
+        raise CheckpointError(f"architecture must be an object, got {type(arch).__name__}")
+    for name, kind in _ARCHITECTURE_FIELDS[family].items():
+        if name not in arch:
+            raise CheckpointError(f"architecture is missing field '{name}'")
+        if not isinstance(arch[name], kind):
+            raise CheckpointError(
+                f"architecture field '{name}' must be a {kind.__name__}, got {type(arch[name]).__name__}"
+            )
+    if family == "waveletflow" and not all(isinstance(v, int) for v in arch["steps_per_level"].values()):
+        raise CheckpointError("architecture field 'steps_per_level' must map levels to integer step counts")
 
 
 def _architecture(model: FlowModel | WaveletFlowModel) -> tuple[str, dict]:
@@ -80,8 +118,10 @@ def _actnorm_flags(model: FlowModel | WaveletFlowModel) -> dict[str, list[bool]]
 
 def _apply_actnorm_flags(model: FlowModel | WaveletFlowModel, flags: dict) -> None:
     current = _actnorm_flags(model)
-    if set(flags) != set(current) or any(
-        len(flags[k]) != len(current[k]) for k in current
+    if (
+        not isinstance(flags, dict)
+        or set(flags) != set(current)
+        or any(not isinstance(flags[k], list) or len(flags[k]) != len(current[k]) for k in current)
     ):
         raise CheckpointError("activation-normalization layout does not match the architecture")
     if isinstance(model, FlowModel):
@@ -131,6 +171,7 @@ def load_checkpoint(path: str | os.PathLike) -> FlowModel | WaveletFlowModel:
         )
     family = payload["family"]
     arch = payload["architecture"]
+    _check_architecture(family, arch)
     try:
         if family == "glow":
             model: FlowModel | WaveletFlowModel = build_glow(
@@ -142,32 +183,34 @@ def load_checkpoint(path: str | os.PathLike) -> FlowModel | WaveletFlowModel:
                 mask_strategy=arch["mask_strategy"],
                 hidden=arch["hidden"],
             )
-        elif family == "waveletflow":
+        else:
             model = build_waveletflow(
                 arch["image_size"],
                 steps_per_level={int(k): v for k, v in arch["steps_per_level"].items()},
                 mask_strategy=arch["mask_strategy"],
                 hidden=arch["hidden"],
             )
-        else:
-            raise CheckpointError(f"unknown model family {family!r}")
-    except KeyError as exc:
-        raise CheckpointError(f"architecture is missing field {exc}") from exc
+    except ValueError as exc:
+        raise CheckpointError(f"architecture is invalid: {exc}") from exc
     params = model.parameters()
     entries = payload["parameters"]
+    if not isinstance(entries, list):
+        raise CheckpointError(f"parameters must be a list, got {type(entries).__name__}")
     if len(entries) != len(params):
         raise CheckpointError(
             f"checkpoint has {len(entries)} parameters, architecture needs {len(params)}"
         )
     for param, entry in zip(params, entries):
+        if not isinstance(entry, dict):
+            raise CheckpointError(f"parameter entry for '{param.name}' must be an object")
         if entry.get("name") != param.name:
             raise CheckpointError(
                 f"parameter name mismatch: file has {entry.get('name')!r}, model expects {param.name!r}"
             )
-        if tuple(entry.get("shape", ())) != param.shape:
+        if entry.get("shape") != list(param.shape):
             raise CheckpointError(
                 f"parameter '{param.name}' shape mismatch: file {entry.get('shape')}, model {list(param.shape)}"
             )
-        param.data[...] = _decode_array(entry["data"], entry["shape"], param.name)
+        param.data[...] = _decode_array(entry.get("data"), param.shape, param.name)
     _apply_actnorm_flags(model, payload["actnorm_initialized"])
     return model

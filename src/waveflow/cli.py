@@ -31,9 +31,9 @@ from .data import (
     save_image,
 )
 from .evaluate import auc, metrics_json, summarize, wavelet_magnitude_score
-from .flows import FlowModel, build_glow, flow_log_likelihood, flow_sample
+from .flows import FlowModel, build_glow
 from .train import AugmentConfig, TrainConfig, train
-from .waveletflow import WaveletFlowModel, build_waveletflow, score_image, wf_sample
+from .waveletflow import WaveletFlowModel, build_waveletflow
 
 __all__ = ["main"]
 
@@ -150,11 +150,16 @@ def cmd_train(cfg: ResolvedConfig, out_dir: Path) -> None:
     (out_dir / "training.json").write_text(metrics_json(summary), encoding="ascii")
 
 
-def _write_scores(path: Path, rows: list[dict]) -> None:
-    level_cols = sorted(
+def _level_columns(rows: list[dict]) -> list[str]:
+    """The ``level_<i>`` keys present in any row, in numeric level order."""
+    return sorted(
         {k for row in rows for k in row if k.startswith("level_")},
         key=lambda c: int(c.split("_", 1)[1]),
     )
+
+
+def _write_scores(path: Path, rows: list[dict]) -> None:
+    level_cols = _level_columns(rows)
     with open(path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["path", "label", "score", *level_cols])
@@ -194,10 +199,7 @@ def _evaluate_rows(rows: list[dict], bins: int, out_dir: Path) -> None:
             f"no scores for both classes (in_dist: {len(nominal)}, ood: {len(anomalous)})"
         )
     payload = summarize(nominal, anomalous, histogram_bins=bins)
-    level_cols = sorted(
-        {k for row in rows for k in row if k.startswith("level_")},
-        key=lambda c: int(c.split("_", 1)[1]),
-    )
+    level_cols = _level_columns(rows)
     if level_cols:
         payload["per_level_auc"] = {
             col: auc(
@@ -227,12 +229,12 @@ def cmd_score(cfg: ResolvedConfig, out_dir: Path) -> None:
     def worker(rec):
         image = load_image(manifest.image_path(rec))
         if isinstance(model, WaveletFlowModel):
-            report = score_image(model, image)
+            report = model.score(image)
             row = {"path": rec.path, "label": rec.label, "score": report.score}
             for level, bpd in sorted(report.per_level_bpd.items()):
                 row[f"level_{level}"] = bpd
             return row
-        density = flow_log_likelihood(model, image)
+        density = model.log_density(image)
         return {"path": rec.path, "label": rec.label, "score": density.bits_per_dim}
 
     rows = _scoring_pool(records, worker, cfg.get("run", "threads"))
@@ -269,10 +271,7 @@ def cmd_sample(cfg: ResolvedConfig, out_dir: Path) -> None:
     rng = np.random.default_rng(cfg.get("sample", "seed"))
     temperature = cfg.get("sample", "temperature")
     for index in range(cfg.get("sample", "count")):
-        if isinstance(model, WaveletFlowModel):
-            image = wf_sample(model, rng, temperature=temperature)
-        else:
-            image = flow_sample(model, rng, temperature=temperature)
+        image = model.sample(rng, temperature=temperature)
         save_image(np.clip(image, 0.0, 1.0), out_dir / f"sample_{index:03d}.pgm")
 
 

@@ -9,6 +9,12 @@ to [-2, 2] with a tanh so exp can never overflow.  A model is a stack of
 (activation-normalization, channel-reversal, coupling) steps, optionally
 wrapped in squeeze/split scales; factored-out halves are scored against
 a standard normal immediately.
+
+Shape contract: the graph APIs (``forward_latents``, ``log_prob_graph``,
+``inverse_from_latents``, ``initialize_actnorm`` and every bijector) take
+(N,C,H,W) batches and return one value per sample; a single image is a
+batch with N=1.  ``FlowModel.log_density`` and ``FlowModel.sample`` are the
+single-image entry points: they take and return (C,H,W) arrays.
 """
 from __future__ import annotations
 
@@ -30,8 +36,6 @@ __all__ = [
     "Split",
     "FlowModel",
     "build_glow",
-    "flow_log_likelihood",
-    "flow_sample",
     "coupling_parameter_count",
 ]
 
@@ -61,19 +65,13 @@ def _as_log_density(log_likelihood: float, dims: int) -> LogDensity:
     return LogDensity(log_likelihood=float(log_likelihood), bits_per_dim=bpd, dims=dims)
 
 
-def _sample_axes(data: np.ndarray) -> tuple[int, ...]:
-    """Axes to reduce so one value remains per sample: all of (C,H,W)."""
-    if data.ndim == 4:
-        return (1, 2, 3)
-    if data.ndim == 3:
-        return (0, 1, 2)
-    raise ad.ShapeError(f"expected (C,H,W) or (N,C,H,W), got {data.shape}")
+# Reducing these axes of a (N,C,H,W) batch leaves one value per sample.
+_SAMPLE_AXES = (1, 2, 3)
 
 
 def _standard_normal_logp(t: ad.Tensor) -> ad.Tensor:
-    axes = _sample_axes(t.data)
-    dims = int(np.prod([t.data.shape[a] for a in axes]))
-    sq = ad.reduce_sum(ad.mul(t, t), axes=axes)
+    dims = int(np.prod(t.data.shape[1:]))
+    sq = ad.reduce_sum(ad.mul(t, t), axes=_SAMPLE_AXES)
     return ad.affine(sq, -0.5, -0.5 * _LOG_2PI * dims)
 
 
@@ -97,11 +95,8 @@ class ActNorm:
 
     def initialize(self, batch: np.ndarray) -> None:
         batch = np.asarray(batch, dtype=np.float64)
-        if batch.ndim == 3:
-            batch = batch[None]
-        axes = (0, 2, 3)
-        mean = batch.mean(axis=axes)
-        std = batch.std(axis=axes)
+        mean = batch.mean(axis=(0, 2, 3))
+        std = batch.std(axis=(0, 2, 3))
         scale = np.empty_like(std)
         for c in range(self.channels):
             if std[c] < 1e-12:
@@ -139,7 +134,7 @@ class ChannelReverse:
         return ad.reverse_channels(t)
 
     def inverse(self, z: np.ndarray) -> np.ndarray:
-        return np.flip(z, axis=z.ndim - 3).copy()
+        return np.flip(z, axis=1).copy()
 
 
 class AffineCoupling:
@@ -198,22 +193,22 @@ class AffineCoupling:
         s, trans = self._scale_translation(self._net_input(passthrough, cond))
         moved = ad.mul(ad.mul(ad.add(t, trans), ad.exp(s)), m_inv)
         z = ad.add(passthrough, moved)
-        logdet = ad.reduce_sum(ad.mul(s, m_inv), axes=_sample_axes(t.data))
+        logdet = ad.reduce_sum(ad.mul(s, m_inv), axes=_SAMPLE_AXES)
         return z, logdet
 
-    def inverse(self, z: np.ndarray, cond: np.ndarray | None = None) -> tuple[np.ndarray, float | np.ndarray]:
+    def inverse(self, z: np.ndarray, cond: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         m = np.broadcast_to(self.mask.values, z.shape)
         passthrough = z * m
         cond_t = ad.Tensor(cond) if cond is not None else None
         s, trans = self._scale_translation(self._net_input(ad.Tensor(passthrough), cond_t))
         sd, td = s.data, trans.data
         x = passthrough + (1.0 - m) * (z * np.exp(-sd) - td)
-        logdet_gen = -np.sum(sd * (1.0 - m), axis=_sample_axes(z))
+        logdet_gen = -np.sum(sd * (1.0 - m), axis=_SAMPLE_AXES)
         return x, logdet_gen
 
 
 class Squeeze:
-    """Space-to-depth rearrangement: (C, 2h, 2w) -> (4C, h, w)."""
+    """Space-to-depth rearrangement: (N, C, 2h, 2w) -> (N, 4C, h, w)."""
 
     def parameters(self) -> list[ad.Parameter]:
         return []
@@ -232,12 +227,12 @@ class Split:
         return []
 
     def forward(self, t: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
-        C = t.data.shape[-3]
+        C = t.data.shape[1]
         half = C // 2
         return ad.slice_channels(t, 0, half), ad.slice_channels(t, half, C)
 
     def inverse(self, kept: np.ndarray, factored: np.ndarray) -> np.ndarray:
-        return np.concatenate([kept, factored], axis=kept.ndim - 3)
+        return np.concatenate([kept, factored], axis=1)
 
 
 class FlowModel:
@@ -297,23 +292,26 @@ class FlowModel:
 
     def _prepare(self, x: np.ndarray, cond: np.ndarray | None):
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim not in (3, 4):
-            raise ad.ShapeError(f"flow input must be (C,H,W) or (N,C,H,W), got {x.shape}")
-        if x.shape[-3:] != self.input_shape:
-            raise ad.ShapeError(f"flow input shape {x.shape[-3:]} != model shape {self.input_shape}")
-        cond_levels: dict[int, np.ndarray] | None = None
-        if self.cond_channels:
-            if cond is None:
-                raise ValueError("model is conditional but no condition was given")
-            cond = np.asarray(cond, dtype=np.float64)
-            if x.ndim == 4 and cond.ndim == 3:
-                cond = np.broadcast_to(cond, (x.shape[0],) + cond.shape)
-            cur = cond
-            cond_levels = {0: cur}
-            for d in range(1, max(self.squeeze_depth, default=0) + 1):
-                cur = ad.squeeze2x2_array(cur)
-                cond_levels[d] = cur
-        return ad.Tensor(x), cond_levels
+        if x.ndim != 4:
+            raise ad.ShapeError(f"flow input must be (N,C,H,W), got {x.shape}")
+        if x.shape[1:] != self.input_shape:
+            raise ad.ShapeError(f"flow input shape {x.shape[1:]} != model shape {self.input_shape}")
+        return ad.Tensor(x), self._cond_levels(cond)
+
+    def _cond_levels(self, cond: np.ndarray | None) -> dict[int, np.ndarray] | None:
+        """The (N,C,H,W) condition at every squeeze depth; None if unconditional."""
+        if not self.cond_channels:
+            return None
+        if cond is None:
+            raise ValueError("model is conditional but no condition was given")
+        cur = np.asarray(cond, dtype=np.float64)
+        if cur.ndim != 4:
+            raise ad.ShapeError(f"condition must be (N,C,H,W), got {cur.shape}")
+        levels = {0: cur}
+        for d in range(1, max(self.squeeze_depth, default=0) + 1):
+            cur = ad.squeeze2x2_array(cur)
+            levels[d] = cur
+        return levels
 
     def _apply_forward(self, idx, bij, t, cond_levels):
         """Returns (next tensor, logdet or None, factored or None)."""
@@ -348,7 +346,7 @@ class FlowModel:
         return latents, logdet
 
     def log_prob_graph(self, x: np.ndarray, cond: np.ndarray | None = None) -> ad.Tensor:
-        """Per-sample log p(x) as a differentiable tensor: () or (N,)."""
+        """Per-sample log p(x) of a (N,C,H,W) batch as a differentiable (N,) tensor."""
         latents, logdet = self.forward_latents(x, cond)
         total = logdet
         for z in latents:
@@ -356,32 +354,24 @@ class FlowModel:
         return total
 
     def log_density(self, x: np.ndarray, cond: np.ndarray | None = None) -> LogDensity:
-        lp = self.log_prob_graph(x, cond)
-        if lp.data.ndim != 0:
-            raise ad.ShapeError("log_density scores one image; use log_prob_graph for batches")
-        return _as_log_density(lp.item(), int(np.prod(self.input_shape)))
+        """Exact change-of-variables likelihood of one (C,H,W) image."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != self.input_shape:
+            raise ad.ShapeError(f"log_density scores one {self.input_shape} image, got {x.shape}")
+        lp = self.log_prob_graph(x[None], None if cond is None else np.asarray(cond)[None])
+        return _as_log_density(lp.data[0], int(np.prod(self.input_shape)))
 
     def inverse_from_latents(
         self, latents: list[np.ndarray], cond: np.ndarray | None = None
-    ) -> tuple[np.ndarray, float | np.ndarray]:
-        """Generative pass; also returns its own (generative) logdet."""
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Generative pass over (N,C,H,W) latents; also returns its own
+        (generative) logdet, one value per sample."""
         if len(latents) != len(self.latent_shapes):
             raise ValueError(f"expected {len(self.latent_shapes)} latents, got {len(latents)}")
         for z, shape in zip(latents, self.latent_shapes):
-            if tuple(np.asarray(z).shape[-3:]) != shape:
-                raise ad.ShapeError(f"latent shape {np.asarray(z).shape} != expected {shape}")
-        cond_levels = None
-        if self.cond_channels:
-            if cond is None:
-                raise ValueError("model is conditional but no condition was given")
-            cond = np.asarray(cond, dtype=np.float64)
-            if np.asarray(latents[-1]).ndim == 4 and cond.ndim == 3:
-                cond = np.broadcast_to(cond, (np.asarray(latents[-1]).shape[0],) + cond.shape)
-            cur = cond
-            cond_levels = {0: cur}
-            for d in range(1, max(self.squeeze_depth, default=0) + 1):
-                cur = ad.squeeze2x2_array(cur)
-                cond_levels[d] = cur
+            if np.ndim(z) != 4 or np.shape(z)[1:] != shape:
+                raise ad.ShapeError(f"latent shape {np.shape(z)} != expected (N,) + {shape}")
+        cond_levels = self._cond_levels(cond)
         t = np.asarray(latents[-1], dtype=np.float64)
         pending = len(latents) - 2  # next factored latent to consume
         logdet_gen: float | np.ndarray = 0.0
@@ -408,13 +398,14 @@ class FlowModel:
         cond: np.ndarray | None = None,
         return_latents: bool = False,
     ):
+        """Draw one (C,H,W) image, and optionally its latents, at a temperature."""
         if temperature <= 0:
             raise ValueError(f"temperature must be > 0, got {temperature}")
-        latents = [temperature * rng.standard_normal(shape) for shape in self.latent_shapes]
-        x, _ = self.inverse_from_latents(latents, cond)
+        latents = [temperature * rng.standard_normal((1,) + shape) for shape in self.latent_shapes]
+        x, _ = self.inverse_from_latents(latents, None if cond is None else np.asarray(cond)[None])
         if return_latents:
-            return x, latents
-        return x
+            return x[0], [z[0] for z in latents]
+        return x[0]
 
 
 def build_glow(
@@ -476,21 +467,6 @@ def build_glow(
         L=L,
         hidden=hidden,
     )
-
-
-def flow_log_likelihood(model: FlowModel, x: np.ndarray, cond: np.ndarray | None = None) -> LogDensity:
-    """Exact change-of-variables likelihood of one image."""
-    return model.log_density(x, cond)
-
-
-def flow_sample(
-    model: FlowModel,
-    rng: np.random.Generator,
-    temperature: float = 1.0,
-    cond: np.ndarray | None = None,
-) -> np.ndarray:
-    """Draw latents at the given temperature and run the generative pass."""
-    return model.sample(rng, temperature, cond)
 
 
 def coupling_parameter_count(model) -> int:

@@ -1,9 +1,11 @@
 """Orthonormal 2-D Haar analysis/synthesis and multi-level pyramids.
 
-Each analysis step halves both spatial dimensions, mapping a (C, 2h, 2w)
-signal to a (C, h, w) low-pass plus three (C, h, w) detail bands.  The
-transform is orthonormal, so energy is preserved exactly and synthesis
-is the exact inverse.
+Each analysis step halves both spatial dimensions, mapping a (..., C, 2h, 2w)
+signal to a (..., C, h, w) low-pass plus three (..., C, h, w) detail bands.
+Any leading dimensions are batch dimensions: a (N, C, H, W) stack is
+transformed image by image with the exact same arithmetic.  The transform
+is orthonormal, so energy is preserved exactly and synthesis is the exact
+inverse.
 """
 from __future__ import annotations
 
@@ -18,10 +20,10 @@ __all__ = ["HaarLevel", "HaarPyramid", "haar_forward", "haar_inverse", "build_py
 class HaarLevel:
     """One analysis level: the low-pass and its three detail bands.
 
-    ``low`` is (C, h, w); ``detail`` stacks the three bands as (3C, h, w)
-    in the order: top/bottom difference, left/right difference, diagonal.
-    ``level_index`` counts from the coarsest level (1) upward, so the
-    finest level of a depth-d pyramid carries index d.
+    ``low`` is (..., C, h, w); ``detail`` stacks the three bands as
+    (..., 3C, h, w) in the order: top/bottom difference, left/right
+    difference, diagonal.  ``level_index`` counts from the coarsest level
+    (1) upward, so the finest level of a depth-d pyramid carries index d.
     """
 
     low: np.ndarray
@@ -40,46 +42,46 @@ class HaarPyramid:
 def haar_forward(x: np.ndarray, level_index: int = 1) -> HaarLevel:
     """One orthonormal analysis step over non-overlapping 2x2 blocks."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ValueError(f"haar_forward expects (C,H,W), got shape {x.shape}")
-    C, H, W = x.shape
+    if x.ndim < 3:
+        raise ValueError(f"haar_forward expects (..., C, H, W), got shape {x.shape}")
+    H, W = x.shape[-2:]
     if H % 2 or W % 2:
         raise ValueError(f"haar_forward needs even spatial dims, got {H}x{W}")
-    a = x[:, 0::2, 0::2]
-    b = x[:, 0::2, 1::2]
-    c = x[:, 1::2, 0::2]
-    d = x[:, 1::2, 1::2]
+    a = x[..., 0::2, 0::2]
+    b = x[..., 0::2, 1::2]
+    c = x[..., 1::2, 0::2]
+    d = x[..., 1::2, 1::2]
     low = (a + b + c + d) / 2.0
     lh = (a + b - c - d) / 2.0
     hl = (a - b + c - d) / 2.0
     hh = (a - b - c + d) / 2.0
-    return HaarLevel(low=low, detail=np.concatenate([lh, hl, hh], axis=0), level_index=level_index)
+    return HaarLevel(low=low, detail=np.concatenate([lh, hl, hh], axis=-3), level_index=level_index)
 
 
 def haar_inverse(level: HaarLevel) -> np.ndarray:
-    """Exact synthesis of the (C, 2h, 2w) signal from one level."""
+    """Exact synthesis of the (..., C, 2h, 2w) signal from one level."""
     low = np.asarray(level.low, dtype=np.float64)
     detail = np.asarray(level.detail, dtype=np.float64)
-    if low.ndim != 3 or detail.ndim != 3:
-        raise ValueError("haar_inverse expects (C,h,w) low and (3C,h,w) detail")
-    C, h, w = low.shape
-    if detail.shape != (3 * C, h, w):
+    if low.ndim < 3:
+        raise ValueError(f"haar_inverse expects (..., C, h, w) low, got shape {low.shape}")
+    *lead, C, h, w = low.shape
+    if detail.shape != (*lead, 3 * C, h, w):
         raise ValueError(f"detail shape {detail.shape} does not match low shape {low.shape}")
-    lh = detail[0:C]
-    hl = detail[C : 2 * C]
-    hh = detail[2 * C :]
-    out = np.empty((C, 2 * h, 2 * w), dtype=np.float64)
-    out[:, 0::2, 0::2] = (low + lh + hl + hh) / 2.0
-    out[:, 0::2, 1::2] = (low + lh - hl - hh) / 2.0
-    out[:, 1::2, 0::2] = (low - lh + hl - hh) / 2.0
-    out[:, 1::2, 1::2] = (low - lh - hl + hh) / 2.0
+    lh = detail[..., 0:C, :, :]
+    hl = detail[..., C : 2 * C, :, :]
+    hh = detail[..., 2 * C :, :, :]
+    out = np.empty((*lead, C, 2 * h, 2 * w), dtype=np.float64)
+    out[..., 0::2, 0::2] = (low + lh + hl + hh) / 2.0
+    out[..., 0::2, 1::2] = (low + lh - hl - hh) / 2.0
+    out[..., 1::2, 0::2] = (low - lh + hl - hh) / 2.0
+    out[..., 1::2, 1::2] = (low - lh - hl + hh) / 2.0
     return out
 
 
 def _check_square_pow2(x: np.ndarray) -> int:
-    if x.ndim != 3:
-        raise ValueError(f"expected (C,S,S), got shape {x.shape}")
-    _, H, W = x.shape
+    if x.ndim < 3:
+        raise ValueError(f"expected (..., C, S, S), got shape {x.shape}")
+    H, W = x.shape[-2:]
     if H != W:
         raise ValueError(f"pyramid input must be square, got {H}x{W}")
     if H < 1 or (H & (H - 1)) != 0:
@@ -88,7 +90,7 @@ def _check_square_pow2(x: np.ndarray) -> int:
 
 
 def build_pyramid(x: np.ndarray, depth: int | None = None) -> HaarPyramid:
-    """Repeated analysis of a square power-of-two image.
+    """Repeated analysis of a square power-of-two image or image stack.
 
     ``depth`` defaults to the full log2(S) decomposition, leaving a 1x1
     residue.  Levels come back finest first; level_index numbers them

@@ -6,7 +6,9 @@ bit-identical given the same data, config, and seed.  The monitored
 quantity is the mean train-set NLL on clean (un-augmented, un-dequantized)
 data; training stops after ``patience`` epochs without strict improvement
 and the best epoch's parameters are restored.  A non-finite loss aborts
-the component, retaining the best parameters seen so far.
+the component, retaining the best parameters seen so far.  Images arrive
+as one (N,1,S,S) stack: each batch's Haar pyramid is built in one call,
+and the clean set's pyramid once per ``train`` call.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .flows import FlowModel, FlowNumericsError
-from .haar import build_pyramid
+from .haar import HaarPyramid, build_pyramid
 from .waveletflow import WaveletFlowModel
 
 __all__ = [
@@ -200,16 +202,18 @@ def _train_component(
     init_hook,
     extract,
     images: np.ndarray,
+    clean: tuple[np.ndarray, np.ndarray | None],
     config: TrainConfig,
     rng: np.random.Generator,
     dims: int,
 ) -> TrainHistory:
-    """Shared loop: minimize mean NLL of ``log_prob(*extract(images))``."""
+    """Shared loop: minimize mean NLL of ``log_prob(*extract(batch))`` over
+    batches of ``images``; ``clean`` is ``extract`` of the whole clean set,
+    the monitored quantity's input."""
     start = time.perf_counter()
 
     def clean_nll() -> float:
-        x, cond = extract(images)
-        lp = log_prob(x, cond)
+        lp = log_prob(*clean)
         return -float(np.mean(lp.data))
 
     def record(epoch: int, nll: float) -> EpochRecord:
@@ -221,43 +225,39 @@ def _train_component(
     stopper = EarlyStopper(config.patience)
     stopper.update(0, nll0)
     optimizer = ad.Adam(parameters, learning_rate=config.learning_rate)
-    initialized = False
     n = len(images)
-    for epoch in range(1, config.max_epochs + 1):
-        order = rng.permutation(n)
-        for lo in range(0, n, config.batch_size):
-            batch = _prepare_images(images[order[lo : lo + config.batch_size]], rng, config)
-            x, cond = extract(batch)
-            if not initialized:
-                init_hook(x, cond)
-                initialized = True
-            try:
-                lp = log_prob(x, cond)
-            except FlowNumericsError:
-                _restore(parameters, best_snap)
-                history.aborted = True
-                history.best_epoch = stopper.best_epoch
-                return history
-            loss = ad.affine(ad.reduce_sum(lp), -1.0 / len(x))
-            if not np.isfinite(loss.data):
-                _restore(parameters, best_snap)
-                history.aborted = True
-                history.best_epoch = stopper.best_epoch
-                return history
-            loss.backward()
-            optimizer.step()
-        nll = clean_nll()
-        history.records.append(record(epoch, nll))
-        if not np.isfinite(nll):
-            _restore(parameters, best_snap)
-            history.aborted = True
-            history.best_epoch = stopper.best_epoch
-            return history
-        improved, stop = stopper.update(epoch, nll)
-        if improved:
-            best_snap = _snapshot(parameters)
-        if stop:
-            break
+
+    def run_epochs() -> bool:
+        """Train until stopping; True when a non-finite value aborted it."""
+        nonlocal best_snap
+        for epoch in range(1, config.max_epochs + 1):
+            order = rng.permutation(n)
+            for lo in range(0, n, config.batch_size):
+                batch = _prepare_images(images[order[lo : lo + config.batch_size]], rng, config)
+                x, cond = extract(batch)
+                if epoch == 1 and lo == 0:
+                    init_hook(x, cond)
+                try:
+                    lp = log_prob(x, cond)
+                except FlowNumericsError:
+                    return True
+                loss = ad.affine(ad.reduce_sum(lp), -1.0 / len(x))
+                if not np.isfinite(loss.data):
+                    return True
+                loss.backward()
+                optimizer.step()
+            nll = clean_nll()
+            history.records.append(record(epoch, nll))
+            if not np.isfinite(nll):
+                return True
+            improved, stop = stopper.update(epoch, nll)
+            if improved:
+                best_snap = _snapshot(parameters)
+            if stop:
+                break
+        return False
+
+    history.aborted = run_epochs()
     _restore(parameters, best_snap)
     history.best_epoch = stopper.best_epoch
     return history
@@ -267,20 +267,13 @@ def _component_rng(seed: int, component: int) -> np.random.Generator:
     return np.random.default_rng([seed, component])
 
 
-def _pyramid_batch(images: np.ndarray, level: int | None):
-    """Stack per-image pyramid pieces: a level's (details, lows) or the residues."""
-    details, lows, bases = [], [], []
-    for img in images:
-        pyramid = build_pyramid(img)
-        if level is None:
-            bases.append(pyramid.base)
-        else:
-            piece = next(l for l in pyramid.levels if l.level_index == level)
-            details.append(piece.detail)
-            lows.append(piece.low)
-    if level is None:
-        return np.stack(bases), None
-    return np.stack(details), np.stack(lows)
+def _component_inputs(pyramid: HaarPyramid, level: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """One component's (inputs, condition): the residues for level 0, else
+    the level's (details, low-passes)."""
+    if level == 0:
+        return pyramid.base, None
+    piece = next(l for l in pyramid.levels if l.level_index == level)
+    return piece.detail, piece.low
 
 
 def train(
@@ -309,6 +302,7 @@ def train(
             init_hook=lambda x, cond: model.initialize_actnorm(x, cond),
             extract=lambda imgs: (imgs, None),
             images=images,
+            clean=(images, None),
             config=config,
             rng=_component_rng(config.seed, 1000),
             dims=int(np.prod(model.input_shape)),
@@ -323,14 +317,16 @@ def train(
     unknown = wanted - set(range(0, model.depth + 1))
     if unknown:
         raise ValueError(f"unknown levels {sorted(unknown)}; model has 0..{model.depth}")
+    clean = build_pyramid(images)  # shared by every component's monitored NLL
     histories: dict[str, TrainHistory] = {}
     if 0 in wanted:
         histories["base"] = _train_component(
             parameters=model.base.parameters(),
             log_prob=lambda x, cond: model.base.log_prob_graph(x),
             init_hook=lambda x, cond: None,
-            extract=lambda imgs: _pyramid_batch(imgs, None),
+            extract=lambda imgs: _component_inputs(build_pyramid(imgs), 0),
             images=images,
+            clean=_component_inputs(clean, 0),
             config=config,
             rng=_component_rng(config.seed, 0),
             dims=1,
@@ -343,8 +339,9 @@ def train(
             parameters=flow.parameters(),
             log_prob=flow.log_prob_graph,
             init_hook=flow.initialize_actnorm,
-            extract=lambda imgs, lvl=level: _pyramid_batch(imgs, lvl),
+            extract=lambda imgs, lvl=level: _component_inputs(build_pyramid(imgs), lvl),
             images=images,
+            clean=_component_inputs(clean, level),
             config=config,
             rng=_component_rng(config.seed, level),
             dims=int(np.prod(flow.input_shape)),

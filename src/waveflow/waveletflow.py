@@ -8,6 +8,11 @@ with learned mean and variance.  The OOD score of an image is the mean
 bits-per-dimension over the levels whose detail grids are at least 4x4:
 coarser levels stay in the report for diagnostics but are too small to
 score reliably.
+
+Shape contract: ``level_inputs`` and ``GaussianBase.log_prob_graph`` take
+(N,C,H,W) batches, like the flow graph APIs; ``WaveletFlowModel.score``
+and ``WaveletFlowModel.sample`` are the single-image entry points and take
+or return one (1,S,S) image.
 """
 from __future__ import annotations
 
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .flows import FlowModel, LogDensity, build_glow, _as_log_density
+from .flows import FlowModel, build_glow, _as_log_density
 from .haar import HaarLevel, HaarPyramid, build_pyramid, haar_inverse
 
 __all__ = [
@@ -26,9 +31,6 @@ __all__ = [
     "LikelihoodReport",
     "WaveletFlowModel",
     "build_waveletflow",
-    "level_log_density",
-    "score_image",
-    "wf_sample",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -49,24 +51,25 @@ class GaussianBase:
         return [self.mean, self.log_std]
 
     def log_prob_graph(self, x: np.ndarray) -> ad.Tensor:
+        """Per-sample log p of a (N,1,1,1) batch of residues: a (N,) tensor."""
         x = np.asarray(x, dtype=np.float64)
-        if x.shape[-3:] != self.shape:
-            raise ad.ShapeError(f"base expects trailing shape {self.shape}, got {x.shape}")
+        if x.ndim != 4 or x.shape[1:] != self.shape:
+            raise ad.ShapeError(f"base expects (N,) + {self.shape}, got {x.shape}")
         # The single-element parameters broadcast as scalars over a batch.
         z = ad.mul(ad.sub(ad.Tensor(x), self.mean), ad.exp(ad.neg(self.log_std)))
-        axes = (1, 2, 3) if x.ndim == 4 else (0, 1, 2)
-        sq = ad.reduce_sum(ad.mul(z, z), axes=axes)
+        sq = ad.reduce_sum(ad.mul(z, z), axes=(1, 2, 3))
         return ad.sub(ad.affine(sq, -0.5, -0.5 * _LOG_2PI), ad.reduce_sum(self.log_std))
-
-    def log_density(self, x: np.ndarray) -> LogDensity:
-        lp = self.log_prob_graph(x)
-        return _as_log_density(lp.item(), 1)
 
     def sample(self, rng: np.random.Generator, temperature: float = 1.0) -> np.ndarray:
         if temperature <= 0:
             raise ValueError(f"temperature must be > 0, got {temperature}")
         std = float(np.exp(self.log_std.data.reshape(())))
         return self.mean.data + temperature * std * rng.standard_normal(self.shape)
+
+
+def _bits_per_dim(log_prob: ad.Tensor, dims: int) -> float:
+    """Bits/dim of the only sample of a (1,) log-probability."""
+    return _as_log_density(log_prob.data[0], dims).bits_per_dim
 
 
 @dataclass(frozen=True)
@@ -113,13 +116,14 @@ class WaveletFlowModel:
             level for level in sorted(self.level_flows) if self.level_size(level) >= MIN_SCORING_SIZE
         )
 
-    def level_inputs(self, image: np.ndarray) -> tuple[dict[int, tuple[np.ndarray, np.ndarray]], np.ndarray]:
-        """Decompose an image into per-level (detail, low-pass) pairs.
+    def level_inputs(self, images: np.ndarray) -> tuple[dict[int, tuple[np.ndarray, np.ndarray]], np.ndarray]:
+        """Decompose a (N,1,S,S) batch into per-level (details, low-passes)
+        pairs plus the (N,1,1,1) residues.
 
         This is the exact pyramid the scorer consumes, exposed so callers
         can verify the coefficients against the wavelet module directly.
         """
-        pyramid = build_pyramid(np.asarray(image, dtype=np.float64))
+        pyramid = build_pyramid(images)
         pairs = {lvl.level_index: (lvl.detail, lvl.low) for lvl in pyramid.levels}
         return pairs, pyramid.base
 
@@ -131,10 +135,12 @@ class WaveletFlowModel:
             )
         if image.min() < 0.0 or image.max() > 1.0:
             raise ValueError("image values must lie in [0, 1]")
-        pairs, base_value = self.level_inputs(image)
-        per_level: dict[int, float] = {0: self.base.log_density(base_value).bits_per_dim}
+        pairs, base_value = self.level_inputs(image[None])
+        per_level = {0: _bits_per_dim(self.base.log_prob_graph(base_value), 1)}
         for level, (detail, low) in pairs.items():
-            per_level[level] = self.level_flows[level].log_density(detail, low).bits_per_dim
+            flow = self.level_flows[level]
+            dims = int(np.prod(flow.input_shape))
+            per_level[level] = _bits_per_dim(flow.log_prob_graph(detail, low), dims)
         scoring = self.scoring_levels()
         if not scoring:
             raise ValueError(
@@ -144,7 +150,8 @@ class WaveletFlowModel:
         return LikelihoodReport(per_level_bpd=per_level, scoring_levels=scoring, score=score)
 
     def sample(self, rng: np.random.Generator, temperature: float = 1.0) -> np.ndarray:
-        """Coarse-to-fine generation; the result is clipped to the image range."""
+        """Coarse-to-fine generation of one (1,S,S) image, clipped to the
+        image range."""
         if temperature <= 0:
             raise ValueError(f"temperature must be > 0, got {temperature}")
         low = self.base.sample(rng, temperature)
@@ -193,18 +200,3 @@ def build_waveletflow(
         hidden=hidden,
         steps_per_level=steps,
     )
-
-
-def level_log_density(model: WaveletFlowModel, level: int, detail: np.ndarray, low: np.ndarray) -> LogDensity:
-    """Exact conditional likelihood of one level's detail coefficients."""
-    if level not in model.level_flows:
-        raise ValueError(f"unknown level {level}; model has levels {sorted(model.level_flows)}")
-    return model.level_flows[level].log_density(detail, low)
-
-
-def score_image(model: WaveletFlowModel, image: np.ndarray) -> LikelihoodReport:
-    return model.score(image)
-
-
-def wf_sample(model: WaveletFlowModel, rng: np.random.Generator, temperature: float = 1.0) -> np.ndarray:
-    return model.sample(rng, temperature)

@@ -36,7 +36,7 @@ from waveflow.flows import (
 from waveflow.haar import build_pyramid, reconstruct
 from waveflow.masks import STRATEGIES, make_mask
 from waveflow.train import TrainConfig, train
-from waveflow.waveletflow import build_waveletflow, score_image
+from waveflow.waveletflow import build_waveletflow
 
 
 @contextmanager
@@ -127,8 +127,8 @@ def trained(dataset32):
 
 @pytest.fixture(scope="module")
 def ood_scores(dataset32, trained):
-    wf_in = [score_image(trained.wf, im).score for im in dataset32.test_in]
-    wf_ood = [score_image(trained.wf, im).score for im in dataset32.test_ood]
+    wf_in = [trained.wf.score(im).score for im in dataset32.test_in]
+    wf_ood = [trained.wf.score(im).score for im in dataset32.test_ood]
     glow_in = [trained.glow.log_density(im).bits_per_dim for im in dataset32.test_in]
     glow_ood = [trained.glow.log_density(im).bits_per_dim for im in dataset32.test_ood]
     mag_in = [wavelet_magnitude_score(im).score for im in dataset32.test_in]
@@ -217,7 +217,7 @@ def test_03_logdet_matches_numeric_jacobian():
         coupling = AffineCoupling(make_mask("checkerboard", 0, (2, 2, 2)), 0, 8, rng)
         for p in coupling.parameters():
             p.data[...] = rng.normal(0.0, 0.3, size=p.data.shape)
-        x = rng.normal(0.0, 0.5, size=(2, 2, 2))
+        x = rng.normal(0.0, 0.5, size=(1, 2, 2, 2))
         _, ld = coupling.forward(ad.Tensor(x))
 
         def coupling_flat(inp):
@@ -230,7 +230,7 @@ def test_03_logdet_matches_numeric_jacobian():
         actnorm.scale.data[...] = rng.uniform(0.5, 2.0, size=4)
         actnorm.offset.data[...] = rng.normal(0.0, 0.5, size=4)
         actnorm.initialized = True
-        x = rng.normal(0.0, 0.5, size=(4, 2, 2))
+        x = rng.normal(0.0, 0.5, size=(1, 4, 2, 2))
         _, ld = actnorm.forward(ad.Tensor(x))
 
         def actnorm_flat(inp):
@@ -241,7 +241,7 @@ def test_03_logdet_matches_numeric_jacobian():
 
         stack = build_glow(K=2, L=2, in_channels=1, image_size=4, hidden=8, seed=3)
         randomize(stack, rng)
-        x = rng.normal(0.0, 0.5, size=(1, 4, 4))
+        x = rng.normal(0.0, 0.5, size=(1, 1, 4, 4))
         _, ld = stack.forward_latents(x)
 
         def stack_flat(inp):
@@ -309,7 +309,7 @@ def test_05_gradients_match_finite_differences():
             coupling = AffineCoupling(make_mask("channel-half", 0, (2, 2, 2)), 0, 4, rng)
             for p in coupling.parameters():
                 p.data[...] = rng.normal(0.0, 0.3, size=p.data.shape)
-            x = rng.normal(0.0, 0.5, size=(2, 2, 2))
+            x = rng.normal(0.0, 0.5, size=(1, 2, 2, 2))
 
             def loss_graph():
                 z, ld = coupling.forward(ad.Tensor(x))

@@ -39,11 +39,11 @@ class TestConv2d:
             x = rng.standard_normal((3, 5, 4))
             w = rng.standard_normal((2, 3, 3, 3))
             b = rng.standard_normal(2)
-            got = ad.conv2d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b)).data
-            np.testing.assert_allclose(got, conv2d_reference(x, w, b), atol=1e-12)
+            got = ad.conv2d(ad.Tensor(x[None]), ad.Tensor(w), ad.Tensor(b)).data
+            np.testing.assert_allclose(got[0], conv2d_reference(x, w, b), atol=1e-12)
 
     def test_identity_kernel_passes_input_through(self):
-        x = np.array([[[5.0]]])
+        x = np.array([[[[5.0]]]])
         w = np.zeros((1, 1, 3, 3))
         w[0, 0, 1, 1] = 1.0
         b = np.zeros(1)
@@ -57,18 +57,25 @@ class TestConv2d:
         b = rng.standard_normal(3)
         batched = ad.conv2d(ad.Tensor(xs), ad.Tensor(w), ad.Tensor(b)).data
         for n in range(4):
-            single = ad.conv2d(ad.Tensor(xs[n]), ad.Tensor(w), ad.Tensor(b)).data
-            np.testing.assert_allclose(batched[n], single, atol=1e-12)
+            single = ad.conv2d(ad.Tensor(xs[n : n + 1]), ad.Tensor(w), ad.Tensor(b)).data
+            np.testing.assert_allclose(batched[n : n + 1], single, atol=1e-12)
+
+    def test_single_image_rank_rejected(self):
+        x = ad.Tensor(np.zeros((2, 4, 4)))
+        w = ad.Tensor(np.zeros((1, 2, 3, 3)))
+        b = ad.Tensor(np.zeros(1))
+        with pytest.raises(ad.ShapeError, match="N,C,H,W"):
+            ad.conv2d(x, w, b)
 
     def test_channel_mismatch_rejected(self):
-        x = ad.Tensor(np.zeros((2, 4, 4)))
+        x = ad.Tensor(np.zeros((1, 2, 4, 4)))
         w = ad.Tensor(np.zeros((1, 3, 3, 3)))
         b = ad.Tensor(np.zeros(1))
         with pytest.raises(ad.ShapeError):
             ad.conv2d(x, w, b)
 
     def test_non_3x3_kernel_rejected(self):
-        x = ad.Tensor(np.zeros((1, 4, 4)))
+        x = ad.Tensor(np.zeros((1, 1, 4, 4)))
         w = ad.Tensor(np.zeros((1, 1, 5, 5)))
         b = ad.Tensor(np.zeros(1))
         with pytest.raises(ad.ShapeError):
@@ -107,7 +114,7 @@ class TestForwardValues:
         np.testing.assert_allclose(out.data, 3.0 * np.arange(4.0))
 
     def test_squeeze_block_scan_order(self):
-        x = np.array([[[1.0, 2.0], [3.0, 4.0]]])  # [[a,b],[c,d]]
+        x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])  # [[a,b],[c,d]]
         out = ad.squeeze2x2_array(x)
         np.testing.assert_allclose(out.reshape(4), [1.0, 2.0, 3.0, 4.0])
 
@@ -118,8 +125,8 @@ class TestForwardValues:
 
     def test_concat_slice_roundtrip(self):
         rng = np.random.default_rng(4)
-        a = rng.standard_normal((2, 3, 3))
-        b = rng.standard_normal((4, 3, 3))
+        a = rng.standard_normal((1, 2, 3, 3))
+        b = rng.standard_normal((1, 4, 3, 3))
         cat = ad.concat_channels([ad.Tensor(a), ad.Tensor(b)])
         np.testing.assert_allclose(ad.slice_channels(cat, 0, 2).data, a)
         np.testing.assert_allclose(ad.slice_channels(cat, 2, 6).data, b)
@@ -211,7 +218,7 @@ def test_elementwise_gradients_match_finite_differences(name):
 def test_conv2d_gradients_match_finite_differences(batched):
     for seed in range(20):
         rng = np.random.default_rng(100 + seed)
-        shape = (2, 2, 3, 3) if batched else (2, 3, 3)
+        shape = (2, 2, 3, 3) if batched else (1, 2, 3, 3)  # one image is N=1
         x = ad.Parameter("x", rng.standard_normal(shape))
         w = ad.Parameter("w", rng.standard_normal((2, 2, 3, 3)) * 0.5)
         b = ad.Parameter("b", rng.standard_normal(2) * 0.5)
@@ -229,9 +236,9 @@ def test_conv2d_gradients_match_finite_differences(batched):
 def test_structural_gradients_match_finite_differences():
     for seed in range(20):
         rng = np.random.default_rng(200 + seed)
-        p = ad.Parameter("p", rng.standard_normal((2, 4, 4)))
-        weights = rng.standard_normal((8, 2, 2))
-        weights2 = rng.standard_normal((1, 4, 4))
+        p = ad.Parameter("p", rng.standard_normal((1, 2, 4, 4)))
+        weights = rng.standard_normal((1, 8, 2, 2))
+        weights2 = rng.standard_normal((1, 1, 4, 4))
         scale = ad.Parameter("scale", rng.standard_normal(2) + 2.0)
         offset = ad.Parameter("offset", rng.standard_normal(2))
 
@@ -240,14 +247,14 @@ def test_structural_gradients_match_finite_differences():
             a = _weighted_sum(t, weights)
             u = ad.slice_channels(ad.reverse_channels(p), 1, 2)
             c = _weighted_sum(ad.concat_channels([u]), weights2)
-            d = ad.reduce_sum(ad.channel_affine(p, scale, offset), axes=(1, 2))
+            d = ad.reduce_sum(ad.channel_affine(p, scale, offset), axes=(0, 2, 3))
             return (a + c + ad.reduce_sum(ad.mul(d, ad.Tensor(np.array([0.3, -0.2]))))).item()
 
         t = ad.squeeze2x2(p)
         a = _weighted_sum(t, weights)
         u = ad.slice_channels(ad.reverse_channels(p), 1, 2)
         c = _weighted_sum(ad.concat_channels([u]), weights2)
-        d = ad.reduce_sum(ad.channel_affine(p, scale, offset), axes=(1, 2))
+        d = ad.reduce_sum(ad.channel_affine(p, scale, offset), axes=(0, 2, 3))
         (a + c + ad.reduce_sum(ad.mul(d, ad.Tensor(np.array([0.3, -0.2]))))).backward()
         fds = ad.finite_diff_grad(loss_fn, [p, scale, offset])
         for prm, fd in zip((p, scale, offset), fds):

@@ -11,8 +11,9 @@ from waveflow.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from waveflow.flows import build_glow, flow_log_likelihood
-from waveflow.waveletflow import build_waveletflow, score_image
+from waveflow.cli import main
+from waveflow.flows import build_glow
+from waveflow.waveletflow import build_waveletflow
 
 
 def perturb(model, seed):
@@ -50,8 +51,8 @@ class TestRoundTrip:
         ]
         img = np.random.default_rng(5).random((1, 8, 8))
         assert (
-            flow_log_likelihood(loaded, img).log_likelihood
-            == flow_log_likelihood(glow_model, img).log_likelihood
+            loaded.log_density(img).log_likelihood
+            == glow_model.log_density(img).log_likelihood
         )
 
     def test_wavelet_score_is_bit_identical(self, wavelet_model, tmp_path):
@@ -59,8 +60,8 @@ class TestRoundTrip:
         save_checkpoint(wavelet_model, path)
         loaded = load_checkpoint(path)
         img = np.random.default_rng(6).random((1, 8, 8))
-        a = score_image(wavelet_model, img)
-        b = score_image(loaded, img)
+        a = wavelet_model.score(img)
+        b = loaded.score(img)
         assert a.score == b.score
         assert a.per_level_bpd == b.per_level_bpd
 
@@ -162,3 +163,36 @@ class TestRejection:
         self._write(path, payload)
         with pytest.raises(CheckpointError, match="family"):
             load_checkpoint(path)
+
+
+def _poison_first_parameter(payload):
+    entry = payload["parameters"][0]
+    values = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").copy()
+    values[0] = np.nan
+    entry["data"] = base64.b64encode(values.tobytes()).decode()
+
+
+# Each damages one field's JSON type or value; every one must fail as a
+# CheckpointError, never as a TypeError/AttributeError traceback.
+DAMAGE = {
+    "architecture-not-object": lambda payload: payload.update(architecture="x"),
+    "steps-per-level-list": lambda payload: payload["architecture"].update(steps_per_level=[1, 1, 1]),
+    "parameters-not-list": lambda payload: payload.update(parameters=7),
+    "nan-parameter": _poison_first_parameter,
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+def test_damaged_checkpoint_rejected_by_loader_and_cli(damage, wavelet_model, tmp_path, capsys):
+    path = tmp_path / "wf.ckpt"
+    save_checkpoint(wavelet_model, path)
+    payload = json.loads(path.read_text())
+    DAMAGE[damage](payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+    cfg = tmp_path / "score.ini"
+    cfg.write_text(f"[run]\nout = {tmp_path / 'out'}\n[score]\ndataset = {tmp_path}\ncheckpoint = {path}\n")
+    assert main(["score", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -16,8 +16,6 @@ from waveflow.flows import (
     Split,
     build_glow,
     coupling_parameter_count,
-    flow_log_likelihood,
-    flow_sample,
 )
 from waveflow.masks import make_mask
 
@@ -69,19 +67,19 @@ class TestIdentityAtInit:
         model = build_glow(K=3, L=1, in_channels=2, image_size=4, mask_strategy="channel-half")
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 4, 4))
-        got = flow_log_likelihood(model, x)
+        got = model.log_density(x)
         np.testing.assert_allclose(got.log_likelihood, stdnormal_logp(x), rtol=1e-12)
 
     def test_fresh_multiscale_model_is_standard_normal_density(self):
         model = build_glow(K=2, L=2, in_channels=1, image_size=8, mask_strategy="checkerboard")
         x = np.random.default_rng(1).standard_normal((1, 8, 8))
-        got = flow_log_likelihood(model, x)
+        got = model.log_density(x)
         np.testing.assert_allclose(got.log_likelihood, stdnormal_logp(x), rtol=1e-12)
 
     def test_bits_per_dim_of_zero_vector(self):
         model = build_glow(K=1, L=1, in_channels=4, image_size=1, mask_strategy="channel-half")
         x = np.zeros((4, 1, 1))
-        got = flow_log_likelihood(model, x)
+        got = model.log_density(x)
         np.testing.assert_allclose(got.log_likelihood, -2.0 * LOG_2PI, rtol=1e-12)
         np.testing.assert_allclose(got.bits_per_dim, 0.5 * LOG_2PI / math.log(2.0), rtol=1e-12)
 
@@ -91,7 +89,7 @@ class TestCoupling:
         rng = np.random.default_rng(2)
         mask = make_mask("checkerboard", 0, (2, 4, 4))
         layer = AffineCoupling(mask, cond_channels=0, hidden=8, rng=rng)
-        x = rng.standard_normal((2, 4, 4))
+        x = rng.standard_normal((1, 2, 4, 4))
         z, logdet = layer.forward(ad.Tensor(x))
         np.testing.assert_allclose(z.data, x)
         np.testing.assert_allclose(logdet.data, 0.0)
@@ -102,9 +100,9 @@ class TestCoupling:
         layer = AffineCoupling(mask, cond_channels=0, hidden=8, rng=rng)
         for p in layer.parameters():
             p.data[...] = rng.normal(0.0, 0.5, size=p.data.shape)
-        x = rng.standard_normal((1, 4, 4))
+        x = rng.standard_normal((1, 1, 4, 4))
         z, _ = layer.forward(ad.Tensor(x))
-        keep = mask.values == 1.0
+        keep = np.broadcast_to(mask.values == 1.0, x.shape)
         np.testing.assert_allclose(z.data[keep], x[keep])
         assert not np.allclose(z.data[~keep], x[~keep])
 
@@ -114,7 +112,7 @@ class TestCoupling:
         layer = AffineCoupling(mask, cond_channels=0, hidden=8, rng=rng)
         for p in layer.parameters():
             p.data[...] = rng.normal(0.0, 0.4, size=p.data.shape)
-        x = rng.standard_normal((4, 3, 3))
+        x = rng.standard_normal((1, 4, 3, 3))
         z, logdet = layer.forward(ad.Tensor(x))
         back, logdet_gen = layer.inverse(z.data)
         np.testing.assert_allclose(back, x, atol=1e-10)
@@ -126,7 +124,7 @@ class TestCoupling:
         layer = AffineCoupling(mask, cond_channels=0, hidden=8, rng=rng)
         for p in layer.parameters():
             p.data[...] = 1e4
-        x = rng.standard_normal((1, 4, 4))
+        x = rng.standard_normal((1, 1, 4, 4))
         s, _ = layer._scale_translation(ad.Tensor(x))
         assert np.all(np.abs(s.data) <= 2.0)
         z, logdet = layer.forward(ad.Tensor(x))
@@ -138,9 +136,9 @@ class TestCoupling:
         layer = AffineCoupling(mask, cond_channels=1, hidden=8, rng=rng)
         for p in layer.parameters():
             p.data[...] = rng.normal(0.0, 0.4, size=p.data.shape)
-        x = rng.standard_normal((1, 4, 4))
-        z_a, _ = layer.forward(ad.Tensor(x), ad.Tensor(np.zeros((1, 4, 4))))
-        z_b, _ = layer.forward(ad.Tensor(x), ad.Tensor(np.ones((1, 4, 4))))
+        x = rng.standard_normal((1, 1, 4, 4))
+        z_a, _ = layer.forward(ad.Tensor(x), ad.Tensor(np.zeros((1, 1, 4, 4))))
+        z_b, _ = layer.forward(ad.Tensor(x), ad.Tensor(np.ones((1, 1, 4, 4))))
         assert not np.allclose(z_a.data, z_b.data)
 
     def test_missing_condition_rejected(self):
@@ -148,7 +146,7 @@ class TestCoupling:
         mask = make_mask("checkerboard", 0, (1, 4, 4))
         layer = AffineCoupling(mask, cond_channels=1, hidden=8, rng=rng)
         with pytest.raises(ValueError, match="condition"):
-            layer.forward(ad.Tensor(np.zeros((1, 4, 4))))
+            layer.forward(ad.Tensor(np.zeros((1, 1, 4, 4))))
 
 
 class TestActNorm:
@@ -174,7 +172,7 @@ class TestActNorm:
         rng = np.random.default_rng(10)
         layer = ActNorm(2)
         layer.initialize(rng.standard_normal((8, 2, 4, 4)))
-        x = rng.standard_normal((2, 4, 4))
+        x = rng.standard_normal((1, 2, 4, 4))
         z, logdet = layer.forward(ad.Tensor(x))
         back, logdet_gen = layer.inverse(z.data)
         np.testing.assert_allclose(back, x, atol=1e-12)
@@ -188,7 +186,7 @@ class TestBijectivity:
         model = build_glow(K=2, L=2, in_channels=1, image_size=8, mask_strategy=strategy)
         randomize(model, rng)
         for _ in range(5):
-            x = rng.standard_normal((1, 8, 8))
+            x = rng.standard_normal((1, 1, 8, 8))
             latents, _ = model.forward_latents(x)
             back, _ = model.inverse_from_latents([z.data for z in latents])
             np.testing.assert_allclose(back, x, atol=1e-8)
@@ -199,8 +197,8 @@ class TestBijectivity:
             K=3, L=1, in_channels=3, image_size=4, cond_channels=1, mask_strategy="channel-half"
         )
         randomize(model, rng)
-        x = rng.standard_normal((3, 4, 4))
-        cond = rng.standard_normal((1, 4, 4))
+        x = rng.standard_normal((1, 3, 4, 4))
+        cond = rng.standard_normal((1, 1, 4, 4))
         latents, _ = model.forward_latents(x, cond)
         back, _ = model.inverse_from_latents([z.data for z in latents], cond)
         np.testing.assert_allclose(back, x, atol=1e-8)
@@ -211,8 +209,8 @@ class TestBijectivity:
             K=2, L=2, in_channels=1, image_size=8, cond_channels=1, mask_strategy="checkerboard"
         )
         randomize(model, rng)
-        x = rng.standard_normal((1, 8, 8))
-        cond = rng.standard_normal((1, 8, 8))
+        x = rng.standard_normal((1, 1, 8, 8))
+        cond = rng.standard_normal((1, 1, 8, 8))
         latents, _ = model.forward_latents(x, cond)
         back, _ = model.inverse_from_latents([z.data for z in latents], cond)
         np.testing.assert_allclose(back, x, atol=1e-8)
@@ -225,14 +223,14 @@ class TestLogDet:
         layer = AffineCoupling(mask, cond_channels=0, hidden=6, rng=rng)
         for p in layer.parameters():
             p.data[...] = rng.normal(0.0, 0.5, size=p.data.shape)
-        x = rng.standard_normal((1, 2, 2))
+        x = rng.standard_normal((1, 1, 2, 2))
 
         def forward_flat(inp):
             z, _ = layer.forward(ad.Tensor(inp))
             return z.data.reshape(-1)
 
         _, logdet = layer.forward(ad.Tensor(x))
-        np.testing.assert_allclose(float(logdet.data), numeric_logabsdet(forward_flat, x), atol=1e-3)
+        np.testing.assert_allclose(logdet.item(), numeric_logabsdet(forward_flat, x), atol=1e-3)
 
     def test_actnorm_logdet_matches_numeric_jacobian(self):
         rng = np.random.default_rng(15)
@@ -240,39 +238,39 @@ class TestLogDet:
         layer.scale.data[...] = np.array([1.3, 0.6])
         layer.offset.data[...] = np.array([0.2, -0.4])
         layer.initialized = True
-        x = rng.standard_normal((2, 2, 2))
+        x = rng.standard_normal((1, 2, 2, 2))
 
         def forward_flat(inp):
             z, _ = layer.forward(ad.Tensor(inp))
             return z.data.reshape(-1)
 
         _, logdet = layer.forward(ad.Tensor(x))
-        np.testing.assert_allclose(float(logdet.data), numeric_logabsdet(forward_flat, x), atol=1e-3)
+        np.testing.assert_allclose(logdet.item(), numeric_logabsdet(forward_flat, x), atol=1e-3)
 
     def test_full_stack_logdet_matches_numeric_jacobian(self):
         rng = np.random.default_rng(16)
         model = build_glow(K=2, L=2, in_channels=1, image_size=4, mask_strategy="checkerboard")
         randomize(model, rng)
-        x = rng.standard_normal((1, 4, 4))
+        x = rng.standard_normal((1, 1, 4, 4))
 
         def forward_flat(inp):
             return flatten_latents(model, inp)
 
         _, logdet = model.forward_latents(x)
-        np.testing.assert_allclose(float(logdet.data), numeric_logabsdet(forward_flat, x), atol=1e-3)
+        np.testing.assert_allclose(logdet.item(), numeric_logabsdet(forward_flat, x), atol=1e-3)
 
     def test_likelihood_consistent_with_generative_logdet(self):
         rng = np.random.default_rng(17)
         model = build_glow(K=2, L=1, in_channels=2, image_size=3, mask_strategy="channel-half")
         randomize(model, rng)
         x = rng.standard_normal((2, 3, 3))
-        latents, _ = model.forward_latents(x)
+        latents, _ = model.forward_latents(x[None])
         lat_arrays = [z.data for z in latents]
         back, logdet_gen = model.inverse_from_latents(lat_arrays)
-        np.testing.assert_allclose(back, x, atol=1e-9)
+        np.testing.assert_allclose(back[0], x, atol=1e-9)
         z_logp = sum(stdnormal_logp(z) for z in lat_arrays)
-        got = flow_log_likelihood(model, x).log_likelihood
-        np.testing.assert_allclose(got, z_logp - float(logdet_gen), atol=1e-8)
+        got = model.log_density(x).log_likelihood
+        np.testing.assert_allclose(got, z_logp - float(logdet_gen[0]), atol=1e-8)
 
 
 class TestModelPlumbing:
@@ -288,7 +286,7 @@ class TestModelPlumbing:
         randomize(model, rng)
         xs = rng.standard_normal((5, 1, 8, 8))
         batched = model.log_prob_graph(xs).data
-        singles = np.array([model.log_prob_graph(x).item() for x in xs])
+        singles = np.array([model.log_prob_graph(xs[n : n + 1]).item() for n in range(len(xs))])
         np.testing.assert_allclose(batched, singles, atol=1e-9)
 
     def test_nan_failure_reports_layer_index(self):
@@ -297,7 +295,7 @@ class TestModelPlumbing:
         # step, the failure must surface at the second step's coupling.
         model.bijectors[5].b3.data[...] = np.nan
         with pytest.raises(FlowNumericsError) as err:
-            model.log_prob_graph(np.zeros((2, 4, 4)))
+            model.log_prob_graph(np.zeros((1, 2, 4, 4)))
         assert err.value.layer_index == 5
 
     def test_too_small_to_squeeze_rejected(self):
@@ -307,7 +305,12 @@ class TestModelPlumbing:
     def test_wrong_input_shape_rejected(self):
         model = build_glow(K=1, L=1, in_channels=2, image_size=4, mask_strategy="channel-half")
         with pytest.raises(ad.ShapeError):
-            model.log_prob_graph(np.zeros((2, 8, 8)))
+            model.log_prob_graph(np.zeros((1, 2, 8, 8)))
+
+    def test_single_image_rank_rejected_by_graph_api(self):
+        model = build_glow(K=1, L=1, in_channels=2, image_size=4, mask_strategy="channel-half")
+        with pytest.raises(ad.ShapeError, match="N,C,H,W"):
+            model.log_prob_graph(np.zeros((2, 4, 4)))
 
     def test_doubling_k_doubles_coupling_parameters(self):
         small = build_glow(K=2, L=2, in_channels=1, image_size=8, hidden=12, mask_strategy="checkerboard")
@@ -320,7 +323,7 @@ class TestSampling:
     def test_identity_model_samples_standard_normal(self):
         model = build_glow(K=2, L=1, in_channels=1, image_size=4, mask_strategy="checkerboard")
         rng = np.random.default_rng(19)
-        samples = np.stack([flow_sample(model, rng) for _ in range(1000)])
+        samples = np.stack([model.sample(rng) for _ in range(1000)])
         assert np.all(np.abs(samples.mean(axis=0)) < 0.1)
 
     def test_forward_recovers_sampled_latents(self):
@@ -328,25 +331,25 @@ class TestSampling:
         model = build_glow(K=2, L=2, in_channels=1, image_size=8, mask_strategy="checkerboard")
         randomize(model, rng)
         x, latents = model.sample(rng, temperature=0.7, return_latents=True)
-        recovered, _ = model.forward_latents(x)
+        recovered, _ = model.forward_latents(x[None])
         for drawn, rec in zip(latents, recovered):
-            np.testing.assert_allclose(rec.data, drawn, atol=1e-8)
+            np.testing.assert_allclose(rec.data[0], drawn, atol=1e-8)
 
     def test_sampled_image_has_finite_likelihood(self):
         rng = np.random.default_rng(21)
         model = build_glow(K=2, L=2, in_channels=1, image_size=8, mask_strategy="checkerboard")
         randomize(model, rng)
-        x = flow_sample(model, rng, temperature=0.8)
-        assert np.isfinite(flow_log_likelihood(model, x).log_likelihood)
+        x = model.sample(rng, temperature=0.8)
+        assert np.isfinite(model.log_density(x).log_likelihood)
 
     def test_non_positive_temperature_rejected(self):
         model = build_glow(K=1, L=1, in_channels=1, image_size=2, mask_strategy="checkerboard")
         with pytest.raises(ValueError, match="temperature"):
-            flow_sample(model, np.random.default_rng(0), temperature=0.0)
+            model.sample(np.random.default_rng(0), temperature=0.0)
 
     def test_split_roundtrip(self):
         rng = np.random.default_rng(22)
-        x = rng.standard_normal((4, 3, 3))
+        x = rng.standard_normal((1, 4, 3, 3))
         split = Split()
         kept, factored = split.forward(ad.Tensor(x))
         np.testing.assert_allclose(split.inverse(kept.data, factored.data), x)

@@ -105,3 +105,20 @@ class TestPyramid:
     def test_excessive_depth_rejected(self):
         with pytest.raises(ValueError):
             build_pyramid(np.zeros((1, 8, 8)), depth=4)
+
+
+class TestBatch:
+    def test_batched_pyramid_equals_per_image_pyramids(self):
+        stack = np.random.default_rng(7).random((5, 1, 16, 16))
+        batched = build_pyramid(stack)
+        singles = [build_pyramid(img) for img in stack]
+        for pos, level in enumerate(batched.levels):
+            assert level.level_index == singles[0].levels[pos].level_index
+            assert np.array_equal(level.low, np.stack([s.levels[pos].low for s in singles]))
+            assert np.array_equal(level.detail, np.stack([s.levels[pos].detail for s in singles]))
+        assert np.array_equal(batched.base, np.stack([s.base for s in singles]))
+
+    def test_batched_inverse_round_trip(self):
+        stack = np.random.default_rng(8).standard_normal((3, 2, 8, 8))
+        singles = np.stack([reconstruct(build_pyramid(x)) for x in stack])
+        assert np.array_equal(reconstruct(build_pyramid(stack)), singles)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import waveflow.autodiff as ad
-from waveflow.flows import FlowNumericsError, build_glow, flow_log_likelihood
+from waveflow.flows import FlowNumericsError, build_glow
 from waveflow.train import (
     AugmentConfig,
     EarlyStopper,
@@ -174,6 +174,7 @@ class TestComponentLoop:
             init_hook=lambda x, cond: None,
             extract=lambda imgs: (imgs, None),
             images=images,
+            clean=(images, None),
             config=cfg,
             rng=np.random.default_rng(0),
             dims=4,
@@ -230,7 +231,7 @@ class TestGlowTraining:
         images = make_blobs(16, 8, seed=0)
         model = build_glow(K=2, L=2, in_channels=1, image_size=8, hidden=8, seed=0)
         identity_bpd = np.mean(
-            [flow_log_likelihood(model, img).bits_per_dim for img in images]
+            [model.log_density(img).bits_per_dim for img in images]
         )
         cfg = TrainConfig(
             learning_rate=1e-3, batch_size=8, max_epochs=3, augment=None, seed=5
@@ -243,7 +244,7 @@ class TestGlowTraining:
         assert best < history.records[0].nll
         # restored parameters reproduce the best monitored value
         now = -np.mean(
-            [flow_log_likelihood(model, img).log_likelihood for img in images]
+            [model.log_density(img).log_likelihood for img in images]
         )
         assert now == pytest.approx(best, abs=1e-9)
 

@@ -9,13 +9,8 @@ import numpy as np
 import pytest
 
 from waveflow.haar import build_pyramid
-from waveflow.waveletflow import (
-    GaussianBase,
-    build_waveletflow,
-    level_log_density,
-    score_image,
-    wf_sample,
-)
+from waveflow.train import TrainConfig, train
+from waveflow.waveletflow import GaussianBase, build_waveletflow
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -60,14 +55,15 @@ class TestLikelihood:
         image = rng.random((1, 16, 16))
         pyramid = build_pyramid(image)
         for level in pyramid.levels:
-            got = level_log_density(model, level.level_index, level.detail, level.low)
+            flow = model.level_flows[level.level_index]
+            got = flow.log_density(level.detail, level.low)
             np.testing.assert_allclose(got.bits_per_dim, stdnormal_bpd(level.detail), rtol=1e-12)
 
     def test_fresh_base_is_standard_normal(self):
         base = GaussianBase()
-        x = np.array([[[0.7]]])
-        got = base.log_density(x)
-        np.testing.assert_allclose(got.log_likelihood, -0.5 * 0.49 - 0.5 * LOG_2PI, rtol=1e-12)
+        x = np.array([[[[0.7]]]])
+        got = base.log_prob_graph(x).item()
+        np.testing.assert_allclose(got, -0.5 * 0.49 - 0.5 * LOG_2PI, rtol=1e-12)
 
     def test_base_batched_matches_single(self):
         base = GaussianBase()
@@ -75,21 +71,21 @@ class TestLikelihood:
         base.log_std.data[...] = -0.2
         xs = np.random.default_rng(1).random((5, 1, 1, 1))
         batched = base.log_prob_graph(xs).data
-        singles = np.array([base.log_prob_graph(x).item() for x in xs])
+        singles = np.array([base.log_prob_graph(xs[n : n + 1]).item() for n in range(len(xs))])
         np.testing.assert_allclose(batched, singles, atol=1e-12)
         assert batched.shape == (5,)
 
     def test_unknown_level_rejected(self):
         model = build_waveletflow(image_size=8, steps_per_level=1, hidden=4)
         with pytest.raises(ValueError, match="unknown level"):
-            level_log_density(model, 9, np.zeros((3, 4, 4)), np.zeros((1, 4, 4)))
+            train(model, np.zeros((1, 1, 8, 8)), TrainConfig(), levels=[9])
 
 
 class TestScoring:
     def test_score_is_mean_over_scoring_levels(self):
         model = build_waveletflow(image_size=16, steps_per_level=1, hidden=4)
         image = np.random.default_rng(2).random((1, 16, 16))
-        report = score_image(model, image)
+        report = model.score(image)
         assert report.scoring_levels == (3, 4)
         expected = np.mean([report.per_level_bpd[3], report.per_level_bpd[4]])
         np.testing.assert_allclose(report.score, expected, rtol=1e-12)
@@ -99,7 +95,7 @@ class TestScoring:
     def test_scorer_consumes_exactly_the_pyramid_coefficients(self):
         model = build_waveletflow(image_size=16, steps_per_level=1, hidden=4)
         image = np.random.default_rng(3).random((1, 16, 16))
-        pairs, base_value = model.level_inputs(image)
+        pairs, base_value = model.level_inputs(image[None])
         pyramid = build_pyramid(image)
 
         def digest(arr):
@@ -114,17 +110,17 @@ class TestScoring:
     def test_out_of_range_image_rejected(self):
         model = build_waveletflow(image_size=8, steps_per_level=1, hidden=4)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            score_image(model, np.full((1, 8, 8), 1.5))
+            model.score(np.full((1, 8, 8), 1.5))
 
     def test_wrong_size_rejected(self):
         model = build_waveletflow(image_size=8, steps_per_level=1, hidden=4)
         with pytest.raises(ValueError, match="shape"):
-            score_image(model, np.zeros((1, 16, 16)))
+            model.score(np.zeros((1, 16, 16)))
 
     def test_size_4_has_no_scoring_level(self):
         model = build_waveletflow(image_size=4, steps_per_level=1, hidden=4)
         with pytest.raises(ValueError, match="too small"):
-            score_image(model, np.zeros((1, 4, 4)))
+            model.score(np.zeros((1, 4, 4)))
 
 
 class TestIndependence:
@@ -139,10 +135,10 @@ class TestIndependence:
     def test_perturbing_one_level_leaves_others_unchanged(self):
         model = build_waveletflow(image_size=16, steps_per_level=1, hidden=4)
         image = np.random.default_rng(4).random((1, 16, 16))
-        before = score_image(model, image).per_level_bpd
+        before = model.score(image).per_level_bpd
         for p in model.level_flows[4].parameters():
             p.data += 0.05
-        after = score_image(model, image).per_level_bpd
+        after = model.score(image).per_level_bpd
         assert after[4] != before[4]
         for level in (0, 1, 2, 3):
             assert after[level] == before[level]  # bit-identical
@@ -151,24 +147,24 @@ class TestIndependence:
 class TestSampling:
     def test_sample_shape_and_range(self):
         model = build_waveletflow(image_size=16, steps_per_level=1, hidden=4)
-        x = wf_sample(model, np.random.default_rng(5))
+        x = model.sample(np.random.default_rng(5))
         assert x.shape == (1, 16, 16)
         assert x.min() >= 0.0 and x.max() <= 1.0
 
     def test_sample_scores_finite(self):
         model = build_waveletflow(image_size=16, steps_per_level=1, hidden=4)
-        x = wf_sample(model, np.random.default_rng(6), temperature=0.8)
-        report = score_image(model, x)
+        x = model.sample(np.random.default_rng(6), temperature=0.8)
+        report = model.score(x)
         assert np.isfinite(report.score)
 
     def test_tiny_temperature_yields_constant_upsampled_base(self):
         model = build_waveletflow(image_size=8, steps_per_level=1, hidden=4)
         model.base.mean.data[...] = 0.5  # keep the residue inside [0,1]
-        x = wf_sample(model, np.random.default_rng(7), temperature=1e-12)
+        x = model.sample(np.random.default_rng(7), temperature=1e-12)
         # identity flows and near-zero latents: every pixel is base / 2^depth
         np.testing.assert_allclose(x, 0.5 / 8.0, atol=1e-9)
 
     def test_non_positive_temperature_rejected(self):
         model = build_waveletflow(image_size=8, steps_per_level=1, hidden=4)
         with pytest.raises(ValueError, match="temperature"):
-            wf_sample(model, np.random.default_rng(8), temperature=-1.0)
+            model.sample(np.random.default_rng(8), temperature=-1.0)
