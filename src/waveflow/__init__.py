@@ -8,7 +8,7 @@ dimension, averaged over the informative levels, is the anomaly score.
 Every model graph API takes (N,C,H,W) batches; a single image is a batch
 with N=1.  The single-image entry points ``WaveletFlowModel.score``,
 ``FlowModel.log_density`` and the two ``sample`` methods take or return
-one (C,H,W) image.
+one (C,H,W) image; ``WaveletFlowModel.score_batch`` scores a batch.
 """
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint

@@ -8,8 +8,18 @@ and Adam.  Shapes are checked strictly: binary operations accept equal
 shapes or a scalar on one side, nothing else, and every image operation
 (convolution, channel and squeeze rearrangements) takes a (N,C,H,W)
 batch; a single image is a batch with N=1.
+
+Inside ``with no_grad():`` the calling thread builds no graph: each new
+tensor keeps its value but no parents and no backward closure, so an
+intermediate array (a convolution's im2col columns included) is freed as
+soon as the next op has read it.  Values are identical in both modes;
+forward-only callers (scoring, actnorm initialization, monitoring, sampling)
+run in it.  The mode is per thread and restored when the block exits.
 """
 from __future__ import annotations
+
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -17,6 +27,7 @@ __all__ = [
     "ShapeError",
     "Tensor",
     "Parameter",
+    "no_grad",
     "add",
     "sub",
     "mul",
@@ -50,6 +61,24 @@ class ShapeError(ValueError):
     """Operand shapes violate an operation's contract."""
 
 
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextmanager
+def no_grad():
+    """Build no graph on this thread while the block runs."""
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
+
+
 class Tensor:
     """A node in the computation graph wrapping a float64 ndarray."""
 
@@ -58,6 +87,8 @@ class Tensor:
     def __init__(self, data, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
+        if not _grad_mode.enabled:
+            _parents, _backward = (), None
         self._parents = _parents
         self._backward = _backward
 

@@ -31,11 +31,16 @@ from .data import (
     save_image,
 )
 from .evaluate import auc, metrics_json, summarize, wavelet_magnitude_score
-from .flows import FlowModel, build_glow
+from .flows import FlowModel, bits_per_dim, build_glow
 from .train import AugmentConfig, TrainConfig, train
 from .waveletflow import WaveletFlowModel, build_waveletflow
 
 __all__ = ["main"]
+
+# Manifest records scored per model call by ``waveflow score``.  A chunk
+# amortizes the per-call Python work; scoring keeps no autodiff graph, so
+# its activations stay a few MB.
+SCORE_CHUNK = 8
 
 
 def _parse_args(argv):
@@ -57,7 +62,9 @@ def _parse_args(argv):
         p.add_argument("--config", required=True, help="path to the run config file")
         p.add_argument("--out", help="output directory (overrides [run] out)")
         p.add_argument("--seed", type=int, help="override the command's seed")
-        p.add_argument("--threads", type=int, help="worker cap (overrides [run] threads)")
+        p.add_argument(
+            "--threads", type=int, help="worker cap for synth and baseline (overrides [run] threads)"
+        )
     return parser.parse_args(argv)
 
 
@@ -211,13 +218,6 @@ def _evaluate_rows(rows: list[dict], bins: int, out_dir: Path) -> None:
     (out_dir / "metrics.json").write_text(metrics_json(payload), encoding="ascii")
 
 
-def _scoring_pool(records, worker, threads: int) -> list[dict]:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, records))
-    return [worker(rec) for rec in records]
-
-
 def cmd_score(cfg: ResolvedConfig, out_dir: Path) -> None:
     model = load_checkpoint(cfg.get("score", "checkpoint"))
     manifest = read_manifest(Path(cfg.get("score", "dataset")) / "manifest.csv")
@@ -226,18 +226,31 @@ def cmd_score(cfg: ResolvedConfig, out_dir: Path) -> None:
     if not records:
         raise ManifestError(f"no records in split {split!r}")
 
-    def worker(rec):
-        image = load_image(manifest.image_path(rec))
-        if isinstance(model, WaveletFlowModel):
-            report = model.score(image)
-            row = {"path": rec.path, "label": rec.label, "score": report.score}
-            for level, bpd in sorted(report.per_level_bpd.items()):
-                row[f"level_{level}"] = bpd
-            return row
-        density = model.log_density(image)
-        return {"path": rec.path, "label": rec.label, "score": density.bits_per_dim}
+    if isinstance(model, WaveletFlowModel):
 
-    rows = _scoring_pool(records, worker, cfg.get("run", "threads"))
+        def score_chunk(images: np.ndarray) -> list[dict]:
+            scored = []
+            for report in model.score_batch(images):
+                columns = {"score": report.score}
+                for level, bpd in sorted(report.per_level_bpd.items()):
+                    columns[f"level_{level}"] = bpd
+                scored.append(columns)
+            return scored
+
+    else:
+        dims = int(np.prod(model.input_shape))
+
+        def score_chunk(images: np.ndarray) -> list[dict]:
+            with ad.no_grad():
+                log_prob = model.log_prob_graph(images).data
+            return [{"score": float(bpd)} for bpd in bits_per_dim(log_prob, dims)]
+
+    rows = []
+    for lo in range(0, len(records), SCORE_CHUNK):
+        chunk = records[lo : lo + SCORE_CHUNK]
+        images = np.stack([load_image(manifest.image_path(rec)) for rec in chunk])
+        for rec, scores in zip(chunk, score_chunk(images)):
+            rows.append({"path": rec.path, "label": rec.label, **scores})
     _write_scores(out_dir / "scores.csv", rows)
 
 
@@ -261,7 +274,12 @@ def cmd_baseline(cfg: ResolvedConfig, out_dir: Path) -> None:
             row[f"level_{level}"] = magnitude
         return row
 
-    rows = _scoring_pool(records, worker, cfg.get("run", "threads"))
+    threads = cfg.get("run", "threads")
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            rows = list(pool.map(worker, records))
+    else:
+        rows = [worker(rec) for rec in records]
     _write_scores(out_dir / "scores.csv", rows)
     _evaluate_rows(rows, cfg.get("baseline", "bins"), out_dir)
 

@@ -15,6 +15,10 @@ Shape contract: the graph APIs (``forward_latents``, ``log_prob_graph``,
 (N,C,H,W) batches and return one value per sample; a single image is a
 batch with N=1.  ``FlowModel.log_density`` and ``FlowModel.sample`` are the
 single-image entry points: they take and return (C,H,W) arrays.
+
+The forward-only entry points (``log_density``, ``initialize_actnorm``,
+``inverse_from_latents`` and so ``sample``) run under ``autodiff.no_grad``
+and keep no graph; ``log_prob_graph`` builds one for training.
 """
 from __future__ import annotations
 
@@ -29,6 +33,7 @@ from .masks import Mask, make_mask
 __all__ = [
     "LogDensity",
     "FlowNumericsError",
+    "bits_per_dim",
     "ActNorm",
     "ChannelReverse",
     "AffineCoupling",
@@ -60,9 +65,10 @@ class LogDensity:
     dims: int
 
 
-def _as_log_density(log_likelihood: float, dims: int) -> LogDensity:
-    bpd = -float(log_likelihood) / (dims * math.log(2.0))
-    return LogDensity(log_likelihood=float(log_likelihood), bits_per_dim=bpd, dims=dims)
+def bits_per_dim(log_prob, dims: int):
+    """Bits/dim of log-likelihoods in nats over ``dims`` dimensions; takes a
+    float or an array of per-sample values."""
+    return -log_prob / (dims * math.log(2.0))
 
 
 # Reducing these axes of a (N,C,H,W) batch leaves one value per sample.
@@ -285,10 +291,11 @@ class FlowModel:
         """Data-dependent init: run the batch through, initializing each
         activation-normalization layer on its own input."""
         t, cond_levels = self._prepare(batch, cond)
-        for idx, b in enumerate(self.bijectors):
-            if isinstance(b, ActNorm) and not b.initialized:
-                b.initialize(t.data)
-            t = self._apply_forward(idx, b, t, cond_levels)[0]
+        with ad.no_grad():
+            for idx, b in enumerate(self.bijectors):
+                if isinstance(b, ActNorm) and not b.initialized:
+                    b.initialize(t.data)
+                t = self._apply_forward(idx, b, t, cond_levels)[0]
 
     def _prepare(self, x: np.ndarray, cond: np.ndarray | None):
         x = np.asarray(x, dtype=np.float64)
@@ -358,8 +365,12 @@ class FlowModel:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != self.input_shape:
             raise ad.ShapeError(f"log_density scores one {self.input_shape} image, got {x.shape}")
-        lp = self.log_prob_graph(x[None], None if cond is None else np.asarray(cond)[None])
-        return _as_log_density(lp.data[0], int(np.prod(self.input_shape)))
+        if not np.all(np.isfinite(x)):
+            raise ValueError("image contains non-finite values")
+        with ad.no_grad():
+            lp = self.log_prob_graph(x[None], None if cond is None else np.asarray(cond)[None])
+        log_likelihood, dims = float(lp.data[0]), int(np.prod(self.input_shape))
+        return LogDensity(log_likelihood, bits_per_dim(log_likelihood, dims), dims)
 
     def inverse_from_latents(
         self, latents: list[np.ndarray], cond: np.ndarray | None = None
@@ -375,20 +386,21 @@ class FlowModel:
         t = np.asarray(latents[-1], dtype=np.float64)
         pending = len(latents) - 2  # next factored latent to consume
         logdet_gen: float | np.ndarray = 0.0
-        for idx in range(len(self.bijectors) - 1, -1, -1):
-            bij = self.bijectors[idx]
-            if isinstance(bij, Split):
-                t = bij.inverse(t, np.asarray(latents[pending], dtype=np.float64))
-                pending -= 1
-            elif isinstance(bij, AffineCoupling):
-                c = cond_levels[self.squeeze_depth[idx]] if cond_levels is not None else None
-                t, ld = bij.inverse(t, c)
-                logdet_gen = logdet_gen + ld
-            elif isinstance(bij, ActNorm):
-                t, ld = bij.inverse(t)
-                logdet_gen = logdet_gen + ld
-            else:
-                t = bij.inverse(t)
+        with ad.no_grad():
+            for idx in range(len(self.bijectors) - 1, -1, -1):
+                bij = self.bijectors[idx]
+                if isinstance(bij, Split):
+                    t = bij.inverse(t, np.asarray(latents[pending], dtype=np.float64))
+                    pending -= 1
+                elif isinstance(bij, AffineCoupling):
+                    c = cond_levels[self.squeeze_depth[idx]] if cond_levels is not None else None
+                    t, ld = bij.inverse(t, c)
+                    logdet_gen = logdet_gen + ld
+                elif isinstance(bij, ActNorm):
+                    t, ld = bij.inverse(t)
+                    logdet_gen = logdet_gen + ld
+                else:
+                    t = bij.inverse(t)
         return t, logdet_gen
 
     def sample(

@@ -8,7 +8,8 @@ data; training stops after ``patience`` epochs without strict improvement
 and the best epoch's parameters are restored.  A non-finite loss aborts
 the component, retaining the best parameters seen so far.  Images arrive
 as one (N,1,S,S) stack: each batch's Haar pyramid is built in one call,
-and the clean set's pyramid once per ``train`` call.
+and the clean set's pyramid once per ``train`` call.  The monitored NLL and
+actnorm initialization are forward-only and run without an autodiff graph.
 """
 from __future__ import annotations
 
@@ -213,7 +214,8 @@ def _train_component(
     start = time.perf_counter()
 
     def clean_nll() -> float:
-        lp = log_prob(*clean)
+        with ad.no_grad():
+            lp = log_prob(*clean)
         return -float(np.mean(lp.data))
 
     def record(epoch: int, nll: float) -> EpochRecord:

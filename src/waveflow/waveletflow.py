@@ -9,10 +9,12 @@ bits-per-dimension over the levels whose detail grids are at least 4x4:
 coarser levels stay in the report for diagnostics but are too small to
 score reliably.
 
-Shape contract: ``level_inputs`` and ``GaussianBase.log_prob_graph`` take
-(N,C,H,W) batches, like the flow graph APIs; ``WaveletFlowModel.score``
-and ``WaveletFlowModel.sample`` are the single-image entry points and take
-or return one (1,S,S) image.
+Shape contract: ``level_inputs``, ``GaussianBase.log_prob_graph`` and
+``WaveletFlowModel.score_batch`` take (N,C,H,W) batches, like the flow graph
+APIs; ``WaveletFlowModel.score`` and ``WaveletFlowModel.sample`` are the
+single-image entry points and take or return one (1,S,S) image.  Scoring
+runs under ``autodiff.no_grad`` and keeps no graph, so a batch's memory is
+released level by level.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .flows import FlowModel, build_glow, _as_log_density
+from .flows import FlowModel, bits_per_dim, build_glow
 from .haar import HaarLevel, HaarPyramid, build_pyramid, haar_inverse
 
 __all__ = [
@@ -65,11 +67,6 @@ class GaussianBase:
             raise ValueError(f"temperature must be > 0, got {temperature}")
         std = float(np.exp(self.log_std.data.reshape(())))
         return self.mean.data + temperature * std * rng.standard_normal(self.shape)
-
-
-def _bits_per_dim(log_prob: ad.Tensor, dims: int) -> float:
-    """Bits/dim of the only sample of a (1,) log-probability."""
-    return _as_log_density(log_prob.data[0], dims).bits_per_dim
 
 
 @dataclass(frozen=True)
@@ -128,26 +125,39 @@ class WaveletFlowModel:
         return pairs, pyramid.base
 
     def score(self, image: np.ndarray) -> LikelihoodReport:
-        image = np.asarray(image, dtype=np.float64)
-        if image.shape != (1, self.image_size, self.image_size):
+        """Report for one (1,S,S) image: ``score_batch`` at N=1."""
+        return self.score_batch(np.asarray(image)[None])[0]
+
+    def score_batch(self, images: np.ndarray) -> list[LikelihoodReport]:
+        """One report per image of a (N,1,S,S) batch, equal to scoring each
+        image alone.  Images must be finite and lie in [0, 1]."""
+        images = np.asarray(images, dtype=np.float64)
+        if images.ndim != 4 or images.shape[1:] != (1, self.image_size, self.image_size):
             raise ValueError(
-                f"expected image of shape (1, {self.image_size}, {self.image_size}), got {image.shape}"
+                f"expected images of shape (N, 1, {self.image_size}, {self.image_size}), got {images.shape}"
             )
-        if image.min() < 0.0 or image.max() > 1.0:
+        if not np.all(np.isfinite(images)):
+            raise ValueError("image contains non-finite values")
+        if images.min() < 0.0 or images.max() > 1.0:
             raise ValueError("image values must lie in [0, 1]")
-        pairs, base_value = self.level_inputs(image[None])
-        per_level = {0: _bits_per_dim(self.base.log_prob_graph(base_value), 1)}
-        for level, (detail, low) in pairs.items():
-            flow = self.level_flows[level]
-            dims = int(np.prod(flow.input_shape))
-            per_level[level] = _bits_per_dim(flow.log_prob_graph(detail, low), dims)
         scoring = self.scoring_levels()
         if not scoring:
             raise ValueError(
                 f"no level of size >= {MIN_SCORING_SIZE} to score; image size {self.image_size} is too small"
             )
-        score = float(np.mean([per_level[level] for level in scoring]))
-        return LikelihoodReport(per_level_bpd=per_level, scoring_levels=scoring, score=score)
+        pairs, base_value = self.level_inputs(images)
+        with ad.no_grad():
+            per_level = {0: bits_per_dim(self.base.log_prob_graph(base_value).data, 1)}
+            for level, (detail, low) in pairs.items():
+                flow = self.level_flows[level]
+                dims = int(np.prod(flow.input_shape))
+                per_level[level] = bits_per_dim(flow.log_prob_graph(detail, low).data, dims)
+        reports = []
+        for n in range(len(images)):
+            bpd = {level: float(values[n]) for level, values in per_level.items()}
+            score = float(np.mean([bpd[level] for level in scoring]))
+            reports.append(LikelihoodReport(per_level_bpd=bpd, scoring_levels=scoring, score=score))
+        return reports
 
     def sample(self, rng: np.random.Generator, temperature: float = 1.0) -> np.ndarray:
         """Coarse-to-fine generation of one (1,S,S) image, clipped to the

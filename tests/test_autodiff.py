@@ -2,6 +2,8 @@
 central finite differences."""
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,53 @@ class TestBackward:
         ad.mul(w, w).backward()
         w.zero_grad()
         np.testing.assert_allclose(w.grad, 0.0)
+
+
+class TestNoGrad:
+    def _graph(self):
+        w = ad.Parameter("w", np.array([1.5, -0.5]))
+        return w, ad.reduce_sum(ad.mul(ad.exp(w), w))
+
+    def test_tensors_built_inside_have_no_parents(self):
+        with ad.no_grad():
+            w, out = self._graph()
+            conv = ad.conv2d(np.ones((1, 2, 4, 4)), np.ones((3, 2, 3, 3)), np.zeros(3))
+        for t in (out, conv):
+            assert t._parents == () and t._backward is None
+        _, again = self._graph()
+        assert again.data == out.data  # same value with the graph on
+        assert again._parents and again._backward is not None
+
+    def test_mode_restored_after_exception(self):
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                raise RuntimeError("inside")
+        w, out = self._graph()
+        out.backward()
+        np.testing.assert_allclose(w.grad, np.exp(w.data) * (1.0 + w.data))
+
+    def test_nested_blocks_restore_the_outer_mode(self):
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert self._graph()[1]._parents == ()
+        assert self._graph()[1]._parents
+
+    def test_other_thread_keeps_its_graph(self):
+        built = {}
+
+        def worker():
+            built["w"], built["out"] = self._graph()
+
+        with ad.no_grad():
+            thread = threading.Thread(target=worker)
+            thread.start()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert built["out"]._parents
+        built["out"].backward()
+        w = built["w"]
+        np.testing.assert_allclose(w.grad, np.exp(w.data) * (1.0 + w.data))
 
 
 def _weighted_sum(t: ad.Tensor, weights: np.ndarray) -> ad.Tensor:

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import shutil
@@ -7,6 +8,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from waveflow import cli
 from waveflow.checkpoint import load_checkpoint
 from waveflow.cli import main
 from waveflow.data import load_image, read_manifest
@@ -181,6 +183,67 @@ class TestScore:
         )
         assert run_cli("score", "--config", cfg, "--threads", "3") == 0
         assert digest(again / "scores.csv") == digest(pipeline["scores"] / "scores.csv")
+
+    def test_chunked_scores_equal_one_image_at_a_time(self, pipeline, tmp_path, monkeypatch):
+        # The 30-image train split ends in a partial chunk.
+        template = "[run]\nout = {out}\n[score]\ndataset = {dataset}\ncheckpoint = {ckpt}\nsplit = train\n"
+        written = []
+        for chunk in (cli.SCORE_CHUNK, 1):
+            monkeypatch.setattr(cli, "SCORE_CHUNK", chunk)
+            out = tmp_path / f"chunk{chunk}"
+            cfg = write_cfg(
+                tmp_path / f"s{chunk}.ini",
+                template,
+                out=out,
+                dataset=pipeline["data"],
+                ckpt=pipeline["run"] / "checkpoint.json",
+            )
+            assert run_cli("score", "--config", cfg) == 0
+            written.append(out / "scores.csv")
+        chunked, single = written
+        assert chunked.read_bytes() == single.read_bytes()
+
+        model = load_checkpoint(pipeline["run"] / "checkpoint.json")
+        manifest = read_manifest(pipeline["data"] / "manifest.csv")
+        records = manifest.select(split="train")
+        assert len(records) % 8 != 0
+        with open(chunked, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["path"] for row in rows] == [rec.path for rec in records]
+        for row, rec in zip(rows, records):
+            report = model.score(load_image(manifest.image_path(rec)))
+            assert float(row["score"]) == report.score
+            for level, bpd in report.per_level_bpd.items():
+                assert float(row[f"level_{level}"]) == bpd
+
+    def test_glow_scores_equal_log_density(self, pipeline, tmp_path):
+        run = tmp_path / "glow"
+        cfg = write_cfg(
+            tmp_path / "t.ini",
+            TRAIN_CFG.replace("family = waveletflow", "family = glow\n    L = 2"),
+            out=run,
+            dataset=pipeline["data"],
+        )
+        assert run_cli("train", "--config", cfg) == 0
+        out = tmp_path / "scores"
+        cfg = write_cfg(
+            tmp_path / "s.ini",
+            "[run]\nout = {out}\n[score]\ndataset = {dataset}\ncheckpoint = {ckpt}\n",
+            out=out,
+            dataset=pipeline["data"],
+            ckpt=run / "checkpoint.json",
+        )
+        assert run_cli("score", "--config", cfg) == 0
+        model = load_checkpoint(run / "checkpoint.json")
+        assert isinstance(model, FlowModel) and model.L == 2
+        manifest = read_manifest(pipeline["data"] / "manifest.csv")
+        with open(out / "scores.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        records = manifest.select(split="test")
+        assert [row["path"] for row in rows] == [rec.path for rec in records]
+        for row, rec in zip(rows, records):
+            image = load_image(manifest.image_path(rec))
+            assert float(row["score"]) == model.log_density(image).bits_per_dim
 
     def test_checkpoint_data_mismatch(self, pipeline, tmp_path):
         other = tmp_path / "tiny"

@@ -298,6 +298,14 @@ class TestModelPlumbing:
             model.log_prob_graph(np.zeros((1, 2, 4, 4)))
         assert err.value.layer_index == 5
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_image_rejected_before_any_layer(self, bad):
+        model = build_glow(K=1, L=2, in_channels=1, image_size=4, mask_strategy="checkerboard")
+        image = np.zeros((1, 4, 4))
+        image[0, 1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            model.log_density(image)
+
     def test_too_small_to_squeeze_rejected(self):
         with pytest.raises(ValueError, match="squeeze"):
             build_glow(K=1, L=3, in_channels=1, image_size=4, mask_strategy="checkerboard")

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from waveflow import autodiff as ad
 from waveflow.haar import build_pyramid
 from waveflow.train import TrainConfig, train
 from waveflow.waveletflow import GaussianBase, build_waveletflow
@@ -121,6 +123,82 @@ class TestScoring:
         model = build_waveletflow(image_size=4, steps_per_level=1, hidden=4)
         with pytest.raises(ValueError, match="too small"):
             model.score(np.zeros((1, 4, 4)))
+
+    def test_score_batch_equals_per_image_score(self):
+        model = build_waveletflow(image_size=16, steps_per_level=2, hidden=6, seed=3)
+        rng = np.random.default_rng(11)
+        for p in model.parameters():
+            p.data += rng.normal(0.0, 0.05, size=p.data.shape)
+        images = rng.random((5, 1, 16, 16))
+        reports = model.score_batch(images)
+        assert len(reports) == 5
+        for image, report in zip(images, reports):
+            single = model.score(image)
+            assert report.score == single.score
+            assert report.per_level_bpd == single.per_level_bpd
+            assert report.scoring_levels == single.scoring_levels
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_image_rejected_before_any_layer(self, bad):
+        model = build_waveletflow(image_size=8, steps_per_level=1, hidden=4)
+        images = np.full((2, 1, 8, 8), 0.5)
+        images[1, 0, 3, 4] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            model.score_batch(images)
+        with pytest.raises(ValueError, match="non-finite"):
+            model.score(images[1])
+
+    def test_wrong_batch_rank_rejected(self):
+        model = build_waveletflow(image_size=8, steps_per_level=1, hidden=4)
+        with pytest.raises(ValueError, match="shape"):
+            model.score_batch(np.zeros((1, 8, 8)))
+
+    def test_gradients_match_finite_differences_after_scoring(self):
+        model = build_waveletflow(image_size=8, steps_per_level=1, hidden=4, seed=5)
+        rng = np.random.default_rng(12)
+        for p in model.parameters():
+            p.data[...] = rng.normal(0.0, 0.1, size=p.data.shape)
+        image = rng.random((1, 8, 8))
+        model.score(image)
+        pairs, residue = model.level_inputs(image[None])
+        flow = model.level_flows[3]
+
+        def loss_graph():
+            lp = ad.add(model.base.log_prob_graph(residue), flow.log_prob_graph(*pairs[3]))
+            return ad.affine(ad.reduce_sum(lp), -1.0)
+
+        params = model.base.parameters() + flow.parameters()
+        loss_graph().backward()
+        numeric = ad.finite_diff_grad(lambda: loss_graph().item(), params)
+        for p, want in zip(params, numeric):
+            rel = float(np.max(np.abs(p.grad - want))) / max(float(np.max(np.abs(want))), 1e-6)
+            assert rel < 1e-3, f"{p.name} gradient off by {rel}"
+
+    def test_graph_free_forward_keeps_no_memory(self):
+        # A level-5 pass over 8 images at 32 px, hidden 24: with the graph,
+        # every intermediate (each conv's im2col columns too) stays alive
+        # as long as the result does.
+        model = build_waveletflow(image_size=32, steps_per_level=2, hidden=24)
+        pairs, _ = model.level_inputs(np.random.default_rng(13).random((8, 1, 32, 32)))
+        detail, low = pairs[5]
+        flow = model.level_flows[5]
+
+        def held_after(run) -> int:
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                result = run()  # noqa: F841  (kept alive while measuring)
+                return tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+
+        def graph_free():
+            with ad.no_grad():
+                return flow.log_prob_graph(detail, low)
+
+        with_graph = held_after(lambda: flow.log_prob_graph(detail, low))
+        assert with_graph > 10e6
+        assert held_after(graph_free) < 0.01 * with_graph
 
 
 class TestIndependence:
