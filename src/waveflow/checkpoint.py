@@ -1,9 +1,10 @@
 """Model persistence: a structured-text (JSON) container for flow weights.
 
 The file stores the architecture needed to rebuild the model, the
-data-dependent-init state of every activation-normalization layer, and
-each parameter array as base64 over little-endian 64-bit floats, so a
-round trip reproduces likelihoods bit for bit on any platform.  Loading
+data-dependent-init state of every activation-normalization layer, keyed
+by its entry in ``model.components()``, and each parameter array as base64
+over little-endian 64-bit floats, so a round trip reproduces likelihoods
+bit for bit on any platform.  Loading
 checks every field's JSON type and rejects non-finite parameter values, so
 a damaged file fails with :class:`CheckpointError`.
 """
@@ -15,7 +16,7 @@ import os
 
 import numpy as np
 
-from .flows import FlowModel, build_glow
+from .flows import ActNorm, FlowModel, build_glow
 from .waveletflow import WaveletFlowModel, build_waveletflow
 
 __all__ = ["FORMAT_VERSION", "CheckpointError", "save_checkpoint", "load_checkpoint"]
@@ -105,32 +106,21 @@ def _architecture(model: FlowModel | WaveletFlowModel) -> tuple[str, dict]:
     raise CheckpointError(f"cannot checkpoint a {type(model).__name__}")
 
 
-def _actnorm_flags(model: FlowModel | WaveletFlowModel) -> dict[str, list[bool]]:
-    if isinstance(model, FlowModel):
-        return {"flow": [layer.initialized for layer in model.actnorm_layers()]}
-    flags = {}
-    for level in sorted(model.level_flows):
-        flags[f"level{level}"] = [
-            layer.initialized for layer in model.level_flows[level].actnorm_layers()
-        ]
-    return flags
+def _actnorm_groups(model: FlowModel | WaveletFlowModel) -> dict[str, list[ActNorm]]:
+    """The activation-normalization layers of every component that has any
+    (the pyramid residue has none, so it has no key)."""
+    parts = model.components().items()
+    return {name: layers for name, part in parts if (layers := part.actnorm_layers())}
 
 
 def _apply_actnorm_flags(model: FlowModel | WaveletFlowModel, flags: dict) -> None:
-    current = _actnorm_flags(model)
+    groups = _actnorm_groups(model)
     if (
         not isinstance(flags, dict)
-        or set(flags) != set(current)
-        or any(not isinstance(flags[k], list) or len(flags[k]) != len(current[k]) for k in current)
+        or set(flags) != set(groups)
+        or any(not isinstance(flags[k], list) or len(flags[k]) != len(groups[k]) for k in groups)
     ):
         raise CheckpointError("activation-normalization layout does not match the architecture")
-    if isinstance(model, FlowModel):
-        groups = {"flow": model.actnorm_layers()}
-    else:
-        groups = {
-            f"level{level}": model.level_flows[level].actnorm_layers()
-            for level in sorted(model.level_flows)
-        }
     for key, layers in groups.items():
         for layer, flag in zip(layers, flags[key]):
             layer.initialized = bool(flag)
@@ -142,7 +132,10 @@ def save_checkpoint(model: FlowModel | WaveletFlowModel, path: str | os.PathLike
         "format_version": FORMAT_VERSION,
         "family": family,
         "architecture": architecture,
-        "actnorm_initialized": _actnorm_flags(model),
+        "actnorm_initialized": {
+            name: [layer.initialized for layer in layers]
+            for name, layers in _actnorm_groups(model).items()
+        },
         "parameters": [
             {"name": p.name, "shape": list(p.shape), "data": _encode_array(p.data)}
             for p in model.parameters()

@@ -178,7 +178,7 @@ def _read_scores(path: Path) -> list[dict]:
     try:
         with open(path, encoding="ascii", newline="") as fh:
             reader = csv.DictReader(fh)
-            raw_rows = list(reader)
+            raw_rows = [(reader.line_num, raw) for raw in reader]
             fields = reader.fieldnames
     except OSError as exc:
         raise ValueError(f"cannot read score file {path}: {exc}") from exc
@@ -187,7 +187,10 @@ def _read_scores(path: Path) -> list[dict]:
     if not raw_rows:
         raise ValueError(f"no scores in {path}")
     rows = []
-    for raw in raw_rows:
+    for line, raw in raw_rows:
+        # DictReader keys a long row's extra fields by None and fills a short row with None.
+        if None in raw or None in raw.values():
+            raise ValueError(f"{path} line {line}: expected the {len(fields)} fields of the header")
         if raw["label"] not in LABELS:
             raise ValueError(f"no scores usable in {path}: unknown label {raw['label']!r}")
         row = {"path": raw["path"], "label": raw["label"], "score": float(raw["score"])}

@@ -9,11 +9,12 @@ to text so every run can write it next to its outputs.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable
 
-from .data import LABELS, SPLITS  # noqa: F401  (SPLITS used in schema choices)
+from .data import SPLITS
 from .masks import STRATEGIES
 
 __all__ = ["ConfigError", "ResolvedConfig", "COMMANDS", "parse_command_config"]
@@ -27,12 +28,11 @@ class ConfigError(ValueError):
     """Invalid run configuration (unknown keys, bad values, missing file)."""
 
 
-def _int(text: str) -> int:
-    return int(text)
-
-
 def _float(text: str) -> float:
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _str(text: str) -> str:
@@ -93,40 +93,40 @@ def _profile_schema(radius, contrast, edge_width, shading, irregularity, texture
         "shading": Field(_float, shading),
         "border_irregularity": Field(_float, irregularity),
         "texture": Field(_float, texture),
-        "hair_strokes": Field(_pair(_int), hairs),
+        "hair_strokes": Field(_pair(int), hairs),
     }
 
 
 _RUN_SECTION = {
     "out": Field(_str, ""),
-    "threads": Field(_int, 1),
+    "threads": Field(int, 1),
 }
 
 _TRAINING_SECTION = {
     "learning_rate": Field(_float, 1e-4),
-    "batch_size": Field(_int, 32),
-    "max_epochs": Field(_int, 20),
-    "patience": Field(_int, 10),
+    "batch_size": Field(int, 32),
+    "max_epochs": Field(int, 20),
+    "patience": Field(int, 10),
     "augment": Field(_bool, True),
     "rotation": Field(_pair(_float), (-180.0, 180.0)),
     "translation": Field(_pair(_float), (-0.1, 0.1)),
     "scaling": Field(_pair(_float), (0.9, 1.1)),
     "shear": Field(_pair(_float), (-10.0, 10.0)),
     "dequantize": Field(_bool, False),
-    "seed": Field(_int, 0),
+    "seed": Field(int, 0),
 }
 
 SCHEMAS: dict[str, dict[str, dict[str, Field]]] = {
     "synth": {
         "run": _RUN_SECTION,
         "synth": {
-            "image_size": Field(_int, 32),
-            "train_in_dist": Field(_int, 240),
-            "test_in_dist": Field(_int, 80),
-            "test_ood": Field(_int, 80),
+            "image_size": Field(int, 32),
+            "train_in_dist": Field(int, 240),
+            "test_in_dist": Field(int, 80),
+            "test_ood": Field(int, 80),
             "brightness": Field(_pair(_float), (0.62, 0.88)),
             "background_gradient": Field(_float, 0.12),
-            "seed": Field(_int, 0),
+            "seed": Field(int, 0),
         },
         "synth.in_dist": _profile_schema(
             (0.18, 0.28), (0.28, 0.50), 0.18, 0.15, 0.05, 0.015, (0, 0)
@@ -140,9 +140,9 @@ SCHEMAS: dict[str, dict[str, dict[str, Field]]] = {
         "train": {
             "dataset": Field(_str),
             "family": Field(_choice("glow", "waveletflow"), "waveletflow"),
-            "K": Field(_int, 2),
-            "L": Field(_int, 2),
-            "hidden": Field(_int, 32),
+            "K": Field(int, 2),
+            "L": Field(int, 2),
+            "hidden": Field(int, 32),
             "mask_strategy": Field(_choice(*STRATEGIES), "channel-half"),
         },
         "training": _TRAINING_SECTION,
@@ -159,7 +159,7 @@ SCHEMAS: dict[str, dict[str, dict[str, Field]]] = {
         "run": _RUN_SECTION,
         "eval": {
             "scores": Field(_str),
-            "bins": Field(_int, 20),
+            "bins": Field(int, 20),
         },
     },
     "baseline": {
@@ -168,16 +168,16 @@ SCHEMAS: dict[str, dict[str, dict[str, Field]]] = {
             "dataset": Field(_str),
             "split": Field(_choice(*SPLITS), "test"),
             "levels": Field(_int_list, ()),
-            "bins": Field(_int, 20),
+            "bins": Field(int, 20),
         },
     },
     "sample": {
         "run": _RUN_SECTION,
         "sample": {
             "checkpoint": Field(_str),
-            "count": Field(_int, 4),
+            "count": Field(int, 4),
             "temperature": Field(_float, 1.0),
-            "seed": Field(_int, 0),
+            "seed": Field(int, 0),
         },
     },
 }
@@ -233,6 +233,8 @@ def parse_command_config(
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
 

@@ -19,6 +19,9 @@ single-image entry points: they take and return (C,H,W) arrays.
 The forward-only entry points (``log_density``, ``initialize_actnorm``,
 ``inverse_from_latents`` and so ``sample``) run under ``autodiff.no_grad``
 and keep no graph; ``log_prob_graph`` builds one for training.
+
+``FlowModel.components()`` is ``{"flow": self}``: a Glow model is the
+one-component case of the list that training and checkpoints iterate.
 """
 from __future__ import annotations
 
@@ -284,6 +287,13 @@ class FlowModel:
             params.extend(b.parameters())
         return params
 
+    def components(self) -> dict[str, FlowModel]:
+        """A pixel flow trains as one component."""
+        return {"flow": self}
+
+    def component_inputs(self, images: np.ndarray) -> dict[str, tuple[np.ndarray, None]]:
+        return {"flow": (images, None)}
+
     def actnorm_layers(self) -> list[ActNorm]:
         return [b for b in self.bijectors if isinstance(b, ActNorm)]
 
@@ -483,10 +493,11 @@ def build_glow(
 
 def coupling_parameter_count(model) -> int:
     """Total parameter entries across all coupling networks of a model."""
-    total = 0
-    for b in getattr(model, "bijectors", []):
-        if isinstance(b, AffineCoupling):
-            total += sum(p.data.size for p in b.parameters())
-    for sub in getattr(model, "level_flows", {}).values():
-        total += coupling_parameter_count(sub)
-    return total
+    return sum(
+        p.data.size
+        for part in model.components().values()
+        if isinstance(part, FlowModel)
+        for b in part.bijectors
+        if isinstance(b, AffineCoupling)
+        for p in b.parameters()
+    )

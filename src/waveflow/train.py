@@ -1,15 +1,16 @@
 """Maximum-likelihood training with affine augmentation and early stopping.
 
-Pyramid models train one component at a time (residue model plus each
-level's flow); every component owns a seeded random stream, so runs are
-bit-identical given the same data, config, and seed.  The monitored
-quantity is the mean train-set NLL on clean (un-augmented, un-dequantized)
-data; training stops after ``patience`` epochs without strict improvement
-and the best epoch's parameters are restored.  A non-finite loss aborts
-the component, retaining the best parameters seen so far.  Images arrive
-as one (N,1,S,S) stack: each batch's Haar pyramid is built in one call,
-and the clean set's pyramid once per ``train`` call.  The monitored NLL and
-actnorm initialization are forward-only and run without an autodiff graph.
+A model trains one component at a time, in ``model.components()`` order
+(a pyramid model's residue model and level flows; Glow's one flow).  Every
+component owns a seeded random stream, so runs are bit-identical given the
+same data, config, and seed.  The monitored quantity is the mean train-set
+NLL on clean (un-augmented, un-dequantized) data; training stops after
+``patience`` epochs without strict improvement and the best epoch's
+parameters are restored.  A non-finite loss or post-epoch monitored NLL,
+or a ``FlowNumericsError`` from either, aborts the component with the best
+parameters seen so far.  ``model.component_inputs`` splits each batch (one
+Haar pyramid per batch) and the clean set, once per ``train`` call.  The
+monitored NLL and actnorm initialization run without an autodiff graph.
 """
 from __future__ import annotations
 
@@ -21,8 +22,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .flows import FlowModel, FlowNumericsError
-from .haar import HaarPyramid, build_pyramid
-from .waveletflow import WaveletFlowModel
+from .haar import build_pyramid  # noqa: F401  (perfbench/tracer.py patches this binding)
+from .waveletflow import GaussianBase, WaveletFlowModel
 
 __all__ = [
     "AugmentConfig",
@@ -66,8 +67,8 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ValueError("batch_size, max_epochs and patience must all be >= 1")
         if self.augment is not None:
@@ -198,24 +199,23 @@ def _prepare_images(batch: np.ndarray, rng: np.random.Generator, config: TrainCo
 
 
 def _train_component(
-    parameters: list[ad.Parameter],
-    log_prob,
-    init_hook,
-    extract,
+    part: FlowModel | GaussianBase,
+    inputs,
     images: np.ndarray,
     clean: tuple[np.ndarray, np.ndarray | None],
     config: TrainConfig,
     rng: np.random.Generator,
-    dims: int,
 ) -> TrainHistory:
-    """Shared loop: minimize mean NLL of ``log_prob(*extract(batch))`` over
-    batches of ``images``; ``clean`` is ``extract`` of the whole clean set,
-    the monitored quantity's input."""
+    """Shared loop: minimize the mean NLL under ``part`` of ``inputs(batch)``
+    over batches of ``images``; ``clean`` is the whole clean set's input,
+    the monitored quantity's."""
     start = time.perf_counter()
+    parameters = part.parameters()
+    dims = int(np.prod(part.input_shape))
 
     def clean_nll() -> float:
         with ad.no_grad():
-            lp = log_prob(*clean)
+            lp = part.log_prob_graph(*clean)
         return -float(np.mean(lp.data))
 
     def record(epoch: int, nll: float) -> EpochRecord:
@@ -236,13 +236,10 @@ def _train_component(
             order = rng.permutation(n)
             for lo in range(0, n, config.batch_size):
                 batch = _prepare_images(images[order[lo : lo + config.batch_size]], rng, config)
-                x, cond = extract(batch)
+                x, cond = inputs(batch)
                 if epoch == 1 and lo == 0:
-                    init_hook(x, cond)
-                try:
-                    lp = log_prob(x, cond)
-                except FlowNumericsError:
-                    return True
+                    part.initialize_actnorm(x, cond)
+                lp = part.log_prob_graph(x, cond)
                 loss = ad.affine(ad.reduce_sum(lp), -1.0 / len(x))
                 if not np.isfinite(loss.data):
                     return True
@@ -259,23 +256,25 @@ def _train_component(
                 break
         return False
 
-    history.aborted = run_epochs()
+    try:
+        history.aborted = run_epochs()
+    except FlowNumericsError:
+        history.aborted = True
     _restore(parameters, best_snap)
     history.best_epoch = stopper.best_epoch
     return history
 
 
-def _component_rng(seed: int, component: int) -> np.random.Generator:
-    return np.random.default_rng([seed, component])
+# Random stream of a pixel flow; a pyramid component's is its level number.
+_FLOW_STREAM = 1000
 
 
-def _component_inputs(pyramid: HaarPyramid, level: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """One component's (inputs, condition): the residues for level 0, else
-    the level's (details, low-passes)."""
-    if level == 0:
-        return pyramid.base, None
-    piece = next(l for l in pyramid.levels if l.level_index == level)
-    return piece.detail, piece.low
+def _component_level(name: str) -> int | None:
+    """The level a component models: 0 for 'base', i for 'level<i>', and
+    None for a pixel flow ('flow')."""
+    if name == "flow":
+        return None
+    return 0 if name == "base" else int(name.removeprefix("level"))
 
 
 def train(
@@ -286,9 +285,10 @@ def train(
 ) -> dict[str, TrainHistory]:
     """Fit a pixel flow or a pyramid model on a stack of (1,S,S) images.
 
-    For pyramid models each component trains independently; ``levels``
-    restricts training to a subset (0 means the base residue model).
-    Returns one history per component, keyed 'flow', 'base', 'level<i>'.
+    Each of ``model.components()`` trains independently; ``levels``
+    restricts training to a subset of a pyramid model's components (0 means
+    the base residue model; a pixel flow has no levels).  Returns one
+    history per trained component, keyed 'flow', 'base', 'level<i>'.
     """
     config.validate()
     images = np.asarray(images, dtype=np.float64)
@@ -296,56 +296,26 @@ def train(
         raise ValueError(f"expected images of shape (N,1,S,S), got {images.shape}")
     if len(images) == 0:
         raise ValueError("training set is empty")
-
-    if isinstance(model, FlowModel):
-        history = _train_component(
-            parameters=model.parameters(),
-            log_prob=lambda x, cond: model.log_prob_graph(x, cond),
-            init_hook=lambda x, cond: model.initialize_actnorm(x, cond),
-            extract=lambda imgs: (imgs, None),
-            images=images,
-            clean=(images, None),
-            config=config,
-            rng=_component_rng(config.seed, 1000),
-            dims=int(np.prod(model.input_shape)),
-        )
-        return {"flow": history}
-
-    if not isinstance(model, WaveletFlowModel):
+    if not isinstance(model, (FlowModel, WaveletFlowModel)):
         raise TypeError(f"cannot train a {type(model).__name__}")
-    if images.shape[-1] != model.image_size:
+    if isinstance(model, WaveletFlowModel) and images.shape[-1] != model.image_size:
         raise ValueError(f"images are {images.shape[-1]} px but the model expects {model.image_size}")
-    wanted = set(range(0, model.depth + 1)) if levels is None else set(levels)
-    unknown = wanted - set(range(0, model.depth + 1))
-    if unknown:
-        raise ValueError(f"unknown levels {sorted(unknown)}; model has 0..{model.depth}")
-    clean = build_pyramid(images)  # shared by every component's monitored NLL
-    histories: dict[str, TrainHistory] = {}
-    if 0 in wanted:
-        histories["base"] = _train_component(
-            parameters=model.base.parameters(),
-            log_prob=lambda x, cond: model.base.log_prob_graph(x),
-            init_hook=lambda x, cond: None,
-            extract=lambda imgs: _component_inputs(build_pyramid(imgs), 0),
+    parts = {name: (part, _component_level(name)) for name, part in model.components().items()}
+    if levels is not None:
+        known = sorted(level for _, level in parts.values() if level is not None)
+        unknown = set(levels) - set(known)
+        if unknown:
+            raise ValueError(f"unknown levels {sorted(unknown)}; the model's levels are {known}")
+        parts = {name: (part, level) for name, (part, level) in parts.items() if level in levels}
+    clean = model.component_inputs(images)  # shared by every component's monitored NLL
+    return {
+        name: _train_component(
+            part,
+            inputs=lambda batch, name=name: model.component_inputs(batch)[name],
             images=images,
-            clean=_component_inputs(clean, 0),
+            clean=clean[name],
             config=config,
-            rng=_component_rng(config.seed, 0),
-            dims=1,
+            rng=np.random.default_rng([config.seed, _FLOW_STREAM if level is None else level]),
         )
-    for level in sorted(model.level_flows):
-        if level not in wanted:
-            continue
-        flow = model.level_flows[level]
-        histories[f"level{level}"] = _train_component(
-            parameters=flow.parameters(),
-            log_prob=flow.log_prob_graph,
-            init_hook=flow.initialize_actnorm,
-            extract=lambda imgs, lvl=level: _component_inputs(build_pyramid(imgs), lvl),
-            images=images,
-            clean=_component_inputs(clean, level),
-            config=config,
-            rng=_component_rng(config.seed, level),
-            dims=int(np.prod(flow.input_shape)),
-        )
-    return histories
+        for name, (part, level) in parts.items()
+    }

@@ -9,7 +9,12 @@ bits-per-dimension over the levels whose detail grids are at least 4x4:
 coarser levels stay in the report for diagnostics but are too small to
 score reliably.
 
-Shape contract: ``level_inputs``, ``GaussianBase.log_prob_graph`` and
+Each factor trains on its own: ``components()`` lists them in training
+order and ``component_inputs`` gives each one's (inputs, condition).
+``GaussianBase`` has a flow's component surface; a Glow ``FlowModel`` is
+the one-component case.
+
+Shape contract: ``component_inputs``, ``GaussianBase.log_prob_graph`` and
 ``WaveletFlowModel.score_batch`` take (N,C,H,W) batches, like the flow graph
 APIs; ``WaveletFlowModel.score`` and ``WaveletFlowModel.sample`` are the
 single-image entry points and take or return one (1,S,S) image.  Scoring
@@ -25,7 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .flows import FlowModel, bits_per_dim, build_glow
-from .haar import HaarLevel, HaarPyramid, build_pyramid, haar_inverse
+from .haar import HaarLevel, build_pyramid, haar_inverse
 
 __all__ = [
     "MIN_SCORING_SIZE",
@@ -45,18 +50,24 @@ class GaussianBase:
     """Gaussian with learned mean and log-std for the 1x1 pyramid residue."""
 
     def __init__(self, name: str = "base"):
-        self.shape = (1, 1, 1)
-        self.mean = ad.Parameter(f"{name}.mean", np.zeros(self.shape))
-        self.log_std = ad.Parameter(f"{name}.log_std", np.zeros(self.shape))
+        self.input_shape = (1, 1, 1)
+        self.mean = ad.Parameter(f"{name}.mean", np.zeros(self.input_shape))
+        self.log_std = ad.Parameter(f"{name}.log_std", np.zeros(self.input_shape))
 
     def parameters(self) -> list[ad.Parameter]:
         return [self.mean, self.log_std]
 
-    def log_prob_graph(self, x: np.ndarray) -> ad.Tensor:
+    def actnorm_layers(self) -> list:
+        return []
+
+    def initialize_actnorm(self, batch: np.ndarray, cond: None = None) -> None:
+        """No activation normalization: nothing to initialize."""
+
+    def log_prob_graph(self, x: np.ndarray, cond: None = None) -> ad.Tensor:
         """Per-sample log p of a (N,1,1,1) batch of residues: a (N,) tensor."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 4 or x.shape[1:] != self.shape:
-            raise ad.ShapeError(f"base expects (N,) + {self.shape}, got {x.shape}")
+        if x.ndim != 4 or x.shape[1:] != self.input_shape:
+            raise ad.ShapeError(f"base expects (N,) + {self.input_shape}, got {x.shape}")
         # The single-element parameters broadcast as scalars over a batch.
         z = ad.mul(ad.sub(ad.Tensor(x), self.mean), ad.exp(ad.neg(self.log_std)))
         sq = ad.reduce_sum(ad.mul(z, z), axes=(1, 2, 3))
@@ -66,7 +77,7 @@ class GaussianBase:
         if temperature <= 0:
             raise ValueError(f"temperature must be > 0, got {temperature}")
         std = float(np.exp(self.log_std.data.reshape(())))
-        return self.mean.data + temperature * std * rng.standard_normal(self.shape)
+        return self.mean.data + temperature * std * rng.standard_normal(self.input_shape)
 
 
 @dataclass(frozen=True)
@@ -98,11 +109,15 @@ class WaveletFlowModel:
         self.hidden = hidden
         self.steps_per_level = dict(steps_per_level)
 
+    def components(self) -> dict[str, FlowModel | GaussianBase]:
+        """The independently trained parts in training order: the residue
+        model, then each level's flow from the coarsest.  A part's position
+        is its level number (0 is the residue)."""
+        levels = {f"level{level}": self.level_flows[level] for level in sorted(self.level_flows)}
+        return {"base": self.base} | levels
+
     def parameters(self) -> list[ad.Parameter]:
-        params = list(self.base.parameters())
-        for level in sorted(self.level_flows):
-            params.extend(self.level_flows[level].parameters())
-        return params
+        return [p for part in self.components().values() for p in part.parameters()]
 
     def level_size(self, level: int) -> int:
         """Detail grid size of a level (coarsest level is 1)."""
@@ -113,16 +128,16 @@ class WaveletFlowModel:
             level for level in sorted(self.level_flows) if self.level_size(level) >= MIN_SCORING_SIZE
         )
 
-    def level_inputs(self, images: np.ndarray) -> tuple[dict[int, tuple[np.ndarray, np.ndarray]], np.ndarray]:
-        """Decompose a (N,1,S,S) batch into per-level (details, low-passes)
-        pairs plus the (N,1,1,1) residues.
+    def component_inputs(self, images: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray | None]]:
+        """Each component's (inputs, condition) for a (N,1,S,S) batch, from
+        one pyramid: the (N,1,1,1) residues for ``base``, each level's
+        (details, low-passes) for ``level<i>``.
 
-        This is the exact pyramid the scorer consumes, exposed so callers
-        can verify the coefficients against the wavelet module directly.
+        This is the exact pyramid the scorer and the trainer consume.
         """
         pyramid = build_pyramid(images)
-        pairs = {lvl.level_index: (lvl.detail, lvl.low) for lvl in pyramid.levels}
-        return pairs, pyramid.base
+        levels = {f"level{lvl.level_index}": (lvl.detail, lvl.low) for lvl in pyramid.levels}
+        return {"base": (pyramid.base, None)} | levels
 
     def score(self, image: np.ndarray) -> LikelihoodReport:
         """Report for one (1,S,S) image: ``score_batch`` at N=1."""
@@ -145,13 +160,12 @@ class WaveletFlowModel:
             raise ValueError(
                 f"no level of size >= {MIN_SCORING_SIZE} to score; image size {self.image_size} is too small"
             )
-        pairs, base_value = self.level_inputs(images)
+        inputs = self.component_inputs(images)
         with ad.no_grad():
-            per_level = {0: bits_per_dim(self.base.log_prob_graph(base_value).data, 1)}
-            for level, (detail, low) in pairs.items():
-                flow = self.level_flows[level]
-                dims = int(np.prod(flow.input_shape))
-                per_level[level] = bits_per_dim(flow.log_prob_graph(detail, low).data, dims)
+            per_level = {
+                level: bits_per_dim(part.log_prob_graph(*inputs[name]).data, int(np.prod(part.input_shape)))
+                for level, (name, part) in enumerate(self.components().items())
+            }
         reports = []
         for n in range(len(images)):
             bpd = {level: float(values[n]) for level, values in per_level.items()}

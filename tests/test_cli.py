@@ -317,6 +317,23 @@ class TestEval:
         assert run_cli("eval", "--config", cfg) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "row", ["a.pgm,in_dist", "a.pgm,in_dist,1.5,2.5"], ids=["short", "long"]
+    )
+    def test_wrong_field_count_names_the_line(self, tmp_path, capsys, row):
+        scores = tmp_path / "scores.csv"
+        scores.write_text(f"path,label,score\nb.pgm,ood,2.0\n{row}\n")
+        cfg = write_cfg(
+            tmp_path / "e.ini",
+            "[run]\nout = {out}\n[eval]\nscores = {scores}\n",
+            out=tmp_path / "o",
+            scores=scores,
+        )
+        assert run_cli("eval", "--config", cfg) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "line 3" in err
+
 
 class TestBaseline:
     def test_scores_and_metrics(self, pipeline, tmp_path):
@@ -360,6 +377,13 @@ class TestErrors:
         cfg.write_text("[run]\nout = o\n[synth]\nnot_a_knob = 1\n")
         assert run_cli("synth", "--config", str(cfg)) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_bytes(b"[run]\nout = caf\xe9\n")
+        assert run_cli("synth", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_missing_dataset_exits_1(self, tmp_path, capsys):
         cfg = write_cfg(

@@ -67,6 +67,10 @@ class TestRejection:
         path = write(tmp_path, "[run]\nout = o\n[synth]\nimage_size = thirty\n")
         with pytest.raises(ConfigError, match=r"\[synth\] image_size"):
             parse_command_config("synth", path)
+        for text in ("nan", "inf", "-inf", "NaN"):
+            path = write(tmp_path, f"[run]\nout = o\n[train]\ndataset = d\n[training]\nlearning_rate = {text}\n")
+            with pytest.raises(ConfigError, match=r"\[training\] learning_rate: expected a finite number"):
+                parse_command_config("train", path)
 
     def test_bad_pair(self, tmp_path):
         path = write(tmp_path, "[run]\nout = o\n[synth]\nbrightness = 0.5\n")
@@ -81,6 +85,12 @@ class TestRejection:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             parse_command_config("synth", tmp_path / "absent.ini")
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_bytes(b"[run]\nout = caf\xe9\n")
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            parse_command_config("synth", path)
 
     def test_bad_threads(self, tmp_path):
         path = write(tmp_path, "[run]\nout = o\nthreads = 0\n")

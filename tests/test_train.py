@@ -148,8 +148,9 @@ class TestEarlyStopper:
 
 class TestConfigValidation:
     def test_bad_learning_rate(self):
-        with pytest.raises(ValueError, match="learning_rate"):
-            TrainConfig(learning_rate=-1.0).validate()
+        for rate in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="learning_rate"):
+                TrainConfig(learning_rate=rate).validate()
 
     def test_bad_batch_size(self):
         with pytest.raises(ValueError, match="batch_size"):
@@ -164,20 +165,37 @@ class TestConfigValidation:
             train(model, np.zeros((0, 1, 8, 8)), cfg)
 
 
+class StubPart:
+    """A one-parameter component over (1,2,2) inputs whose log-density is
+    a given function of the batch."""
+
+    input_shape = (1, 2, 2)
+
+    def __init__(self, log_prob, param):
+        self.log_prob = log_prob
+        self.param = param
+
+    def parameters(self):
+        return [self.param]
+
+    def initialize_actnorm(self, x, cond):
+        pass
+
+    def log_prob_graph(self, x, cond=None):
+        return self.log_prob(x, cond)
+
+
 class TestComponentLoop:
     def _run(self, log_prob, param, n_images=8):
         images = np.zeros((n_images, 1, 2, 2))
         cfg = TrainConfig(max_epochs=5, batch_size=4, augment=None, seed=3)
         return _train_component(
-            parameters=[param],
-            log_prob=log_prob,
-            init_hook=lambda x, cond: None,
-            extract=lambda imgs: (imgs, None),
+            StubPart(log_prob, param),
+            inputs=lambda imgs: (imgs, None),
             images=images,
             clean=(images, None),
             config=cfg,
             rng=np.random.default_rng(0),
-            dims=4,
         )
 
     def test_abort_on_non_finite_loss(self):
@@ -209,6 +227,24 @@ class TestComponentLoop:
         assert history.aborted
         assert len(history.records) == 1
         assert param.data[0] == 2.5
+
+    def test_abort_on_numerics_error_in_monitored_nll(self):
+        clean_passes = {"n": 0}
+        param = ad.Parameter("w", np.array([3.5]))
+
+        def log_prob(x, cond):
+            if len(x) == 8:  # the whole clean set, not a batch of 4
+                clean_passes["n"] += 1
+                if clean_passes["n"] == 2:
+                    raise FlowNumericsError(3)
+            return ad.mul(ad.Tensor(np.full(len(x), -1.0)), param)
+
+        history = self._run(log_prob, param)
+        assert clean_passes["n"] == 2
+        assert history.aborted
+        assert history.best_epoch == 0
+        assert len(history.records) == 1
+        assert param.data[0] == 3.5  # the epoch's steps are undone
 
     def test_epoch_zero_is_pre_training(self):
         calls = []
@@ -247,6 +283,11 @@ class TestGlowTraining:
             [model.log_density(img).log_likelihood for img in images]
         )
         assert now == pytest.approx(best, abs=1e-9)
+
+    def test_levels_rejected_for_a_pixel_flow(self):
+        model = build_glow(K=1, L=2, in_channels=1, image_size=8, hidden=4)
+        with pytest.raises(ValueError, match="unknown level"):
+            train(model, make_blobs(4, 8, seed=3), TrainConfig(max_epochs=1), levels=[0])
 
     def test_actnorm_initialized_during_first_batch(self):
         images = make_blobs(8, 8, seed=1)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from waveflow import autodiff as ad
+from waveflow.flows import build_glow
 from waveflow.haar import build_pyramid
 from waveflow.train import TrainConfig, train
 from waveflow.waveletflow import GaussianBase, build_waveletflow
@@ -97,15 +98,17 @@ class TestScoring:
     def test_scorer_consumes_exactly_the_pyramid_coefficients(self):
         model = build_waveletflow(image_size=16, steps_per_level=1, hidden=4)
         image = np.random.default_rng(3).random((1, 16, 16))
-        pairs, base_value = model.level_inputs(image[None])
+        inputs = model.component_inputs(image[None])
         pyramid = build_pyramid(image)
 
         def digest(arr):
             return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
+        base_value, no_cond = inputs["base"]
         assert digest(base_value) == digest(pyramid.base)
+        assert no_cond is None
         for level in pyramid.levels:
-            detail, low = pairs[level.level_index]
+            detail, low = inputs[f"level{level.level_index}"]
             assert digest(detail) == digest(level.detail)
             assert digest(low) == digest(level.low)
 
@@ -160,11 +163,11 @@ class TestScoring:
             p.data[...] = rng.normal(0.0, 0.1, size=p.data.shape)
         image = rng.random((1, 8, 8))
         model.score(image)
-        pairs, residue = model.level_inputs(image[None])
+        inputs = model.component_inputs(image[None])
         flow = model.level_flows[3]
 
         def loss_graph():
-            lp = ad.add(model.base.log_prob_graph(residue), flow.log_prob_graph(*pairs[3]))
+            lp = ad.add(model.base.log_prob_graph(*inputs["base"]), flow.log_prob_graph(*inputs["level3"]))
             return ad.affine(ad.reduce_sum(lp), -1.0)
 
         params = model.base.parameters() + flow.parameters()
@@ -179,8 +182,7 @@ class TestScoring:
         # every intermediate (each conv's im2col columns too) stays alive
         # as long as the result does.
         model = build_waveletflow(image_size=32, steps_per_level=2, hidden=24)
-        pairs, _ = model.level_inputs(np.random.default_rng(13).random((8, 1, 32, 32)))
-        detail, low = pairs[5]
+        detail, low = model.component_inputs(np.random.default_rng(13).random((8, 1, 32, 32)))["level5"]
         flow = model.level_flows[5]
 
         def held_after(run) -> int:
@@ -199,6 +201,41 @@ class TestScoring:
         with_graph = held_after(lambda: flow.log_prob_graph(detail, low))
         assert with_graph > 10e6
         assert held_after(graph_free) < 0.01 * with_graph
+
+
+class TestComponents:
+    def test_pyramid_components_in_training_order(self):
+        model = build_waveletflow(image_size=8, steps_per_level=1, hidden=4)
+        parts = model.components()
+        assert list(parts) == ["base", "level1", "level2", "level3"]
+        assert parts["base"] is model.base
+        for level in (1, 2, 3):
+            assert parts[f"level{level}"] is model.level_flows[level]
+        assert set(model.component_inputs(np.zeros((2, 1, 8, 8)))) == set(parts)
+
+    def test_glow_is_one_component(self):
+        model = build_glow(K=1, L=2, in_channels=1, image_size=8, hidden=4)
+        assert list(model.components()) == ["flow"]
+        assert model.components()["flow"] is model
+        images = np.zeros((2, 1, 8, 8))
+        x, cond = model.component_inputs(images)["flow"]
+        assert x is images and cond is None
+
+    def test_parameters_concatenate_components(self):
+        for model in (
+            build_waveletflow(image_size=8, steps_per_level=1, hidden=4),
+            build_glow(K=1, L=2, in_channels=1, image_size=8, hidden=4),
+        ):
+            expected = [p for part in model.components().values() for p in part.parameters()]
+            assert [id(p) for p in model.parameters()] == [id(p) for p in expected]
+
+    def test_base_has_the_component_surface(self):
+        base = GaussianBase()
+        assert base.input_shape == (1, 1, 1)
+        assert base.actnorm_layers() == []
+        base.initialize_actnorm(np.zeros((2, 1, 1, 1)))
+        x = np.full((2, 1, 1, 1), 0.7)
+        assert np.array_equal(base.log_prob_graph(x, None).data, base.log_prob_graph(x).data)
 
 
 class TestIndependence:
