@@ -1,12 +1,14 @@
 """Model persistence: a structured-text (JSON) container for flow weights.
 
-The file stores the architecture needed to rebuild the model, the
-data-dependent-init state of every activation-normalization layer, keyed
-by its entry in ``model.components()``, and each parameter array as base64
-over little-endian 64-bit floats, so a round trip reproduces likelihoods
-bit for bit on any platform.  Loading
-checks every field's JSON type and rejects non-finite parameter values, so
-a damaged file fails with :class:`CheckpointError`.
+The file stores the model's ``family`` and the ``architecture`` record its
+builder set, the data-dependent-init state of every activation-normalization
+layer, keyed by its entry in ``model.components()``, and each parameter
+array as base64 over little-endian 64-bit floats, so a round trip
+reproduces likelihoods bit for bit on any platform.  Loading rebuilds every
+family the same way, as ``builder(**architecture)``, after checking each
+field's JSON type against the family's field table; unknown fields and
+non-finite parameter values are rejected, so a damaged file fails with
+:class:`CheckpointError`.
 """
 from __future__ import annotations
 
@@ -42,6 +44,8 @@ _ARCHITECTURE_FIELDS = {
     "waveletflow": {"image_size": int, "steps_per_level": dict, "mask_strategy": str, "hidden": int},
 }
 
+_BUILDERS = {"glow": build_glow, "waveletflow": build_waveletflow}
+
 
 def _encode_array(a: np.ndarray) -> str:
     buf = np.ascontiguousarray(a, dtype="<f8").tobytes()
@@ -71,7 +75,11 @@ def _check_architecture(family, arch) -> None:
         raise CheckpointError(f"unknown model family {family!r}")
     if not isinstance(arch, dict):
         raise CheckpointError(f"architecture must be an object, got {type(arch).__name__}")
-    for name, kind in _ARCHITECTURE_FIELDS[family].items():
+    fields = _ARCHITECTURE_FIELDS[family]
+    unknown = set(arch) - set(fields)
+    if unknown:
+        raise CheckpointError(f"architecture has unknown fields {sorted(unknown)}")
+    for name, kind in fields.items():
         if name not in arch:
             raise CheckpointError(f"architecture is missing field '{name}'")
         if not isinstance(arch[name], kind):
@@ -80,30 +88,6 @@ def _check_architecture(family, arch) -> None:
             )
     if family == "waveletflow" and not all(isinstance(v, int) for v in arch["steps_per_level"].values()):
         raise CheckpointError("architecture field 'steps_per_level' must map levels to integer step counts")
-
-
-def _architecture(model: FlowModel | WaveletFlowModel) -> tuple[str, dict]:
-    if isinstance(model, WaveletFlowModel):
-        return "waveletflow", {
-            "image_size": model.image_size,
-            "steps_per_level": {str(k): v for k, v in model.steps_per_level.items()},
-            "mask_strategy": model.mask_strategy,
-            "hidden": model.hidden,
-        }
-    if isinstance(model, FlowModel):
-        c, h, w = model.input_shape
-        if h != w:
-            raise CheckpointError(f"cannot describe non-square input {model.input_shape}")
-        return "glow", {
-            "K": model.K,
-            "L": model.L,
-            "in_channels": c,
-            "image_size": h,
-            "cond_channels": model.cond_channels,
-            "mask_strategy": model.mask_strategy,
-            "hidden": model.hidden,
-        }
-    raise CheckpointError(f"cannot checkpoint a {type(model).__name__}")
 
 
 def _actnorm_groups(model: FlowModel | WaveletFlowModel) -> dict[str, list[ActNorm]]:
@@ -127,11 +111,10 @@ def _apply_actnorm_flags(model: FlowModel | WaveletFlowModel, flags: dict) -> No
 
 
 def save_checkpoint(model: FlowModel | WaveletFlowModel, path: str | os.PathLike) -> None:
-    family, architecture = _architecture(model)
     payload = {
         "format_version": FORMAT_VERSION,
-        "family": family,
-        "architecture": architecture,
+        "family": model.family,
+        "architecture": model.architecture,
         "actnorm_initialized": {
             name: [layer.initialized for layer in layers]
             for name, layers in _actnorm_groups(model).items()
@@ -166,23 +149,7 @@ def load_checkpoint(path: str | os.PathLike) -> FlowModel | WaveletFlowModel:
     arch = payload["architecture"]
     _check_architecture(family, arch)
     try:
-        if family == "glow":
-            model: FlowModel | WaveletFlowModel = build_glow(
-                K=arch["K"],
-                L=arch["L"],
-                in_channels=arch["in_channels"],
-                image_size=arch["image_size"],
-                cond_channels=arch["cond_channels"],
-                mask_strategy=arch["mask_strategy"],
-                hidden=arch["hidden"],
-            )
-        else:
-            model = build_waveletflow(
-                arch["image_size"],
-                steps_per_level={int(k): v for k, v in arch["steps_per_level"].items()},
-                mask_strategy=arch["mask_strategy"],
-                hidden=arch["hidden"],
-            )
+        model = _BUILDERS[family](**arch)
     except ValueError as exc:
         raise CheckpointError(f"architecture is invalid: {exc}") from exc
     params = model.parameters()

@@ -31,7 +31,7 @@ from .data import (
     save_image,
 )
 from .evaluate import auc, metrics_json, summarize, wavelet_magnitude_score
-from .flows import FlowModel, bits_per_dim, build_glow
+from .flows import bits_per_dim, build_glow
 from .train import AugmentConfig, TrainConfig, train
 from .waveletflow import WaveletFlowModel, build_waveletflow
 
@@ -101,25 +101,16 @@ def cmd_train(cfg: ResolvedConfig, out_dir: Path) -> None:
     images, _ = load_split(manifest, "train")
     size = images.shape[-1]
     seed = cfg.get("training", "seed")
-    family = cfg.get("train", "family")
-    if family == "waveletflow":
-        model: FlowModel | WaveletFlowModel = build_waveletflow(
-            size,
-            steps_per_level=cfg.get("train", "K"),
-            mask_strategy=cfg.get("train", "mask_strategy"),
-            hidden=cfg.get("train", "hidden"),
-            seed=seed,
-        )
+    layout = {
+        "image_size": size,
+        "mask_strategy": cfg.get("train", "mask_strategy"),
+        "hidden": cfg.get("train", "hidden"),
+        "seed": seed,
+    }
+    if cfg.get("train", "family") == "waveletflow":
+        model = build_waveletflow(steps_per_level=cfg.get("train", "K"), **layout)
     else:
-        model = build_glow(
-            K=cfg.get("train", "K"),
-            L=cfg.get("train", "L"),
-            in_channels=1,
-            image_size=size,
-            mask_strategy=cfg.get("train", "mask_strategy"),
-            hidden=cfg.get("train", "hidden"),
-            seed=seed,
-        )
+        model = build_glow(K=cfg.get("train", "K"), L=cfg.get("train", "L"), in_channels=1, **layout)
     augment = None
     if cfg.get("training", "augment"):
         augment = AugmentConfig(

@@ -35,6 +35,20 @@ def _float(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _float(text)
+    if value <= 0:
+        raise ValueError(f"expected a number > 0, got {text!r}")
+    return value
+
+
 def _str(text: str) -> str:
     if not text:
         raise ValueError("empty value")
@@ -99,14 +113,14 @@ def _profile_schema(radius, contrast, edge_width, shading, irregularity, texture
 
 _RUN_SECTION = {
     "out": Field(_str, ""),
-    "threads": Field(int, 1),
+    "threads": Field(_count, 1),
 }
 
 _TRAINING_SECTION = {
     "learning_rate": Field(_float, 1e-4),
-    "batch_size": Field(int, 32),
-    "max_epochs": Field(int, 20),
-    "patience": Field(int, 10),
+    "batch_size": Field(_count, 32),
+    "max_epochs": Field(_count, 20),
+    "patience": Field(_count, 10),
     "augment": Field(_bool, True),
     "rotation": Field(_pair(_float), (-180.0, 180.0)),
     "translation": Field(_pair(_float), (-0.1, 0.1)),
@@ -140,9 +154,9 @@ SCHEMAS: dict[str, dict[str, dict[str, Field]]] = {
         "train": {
             "dataset": Field(_str),
             "family": Field(_choice("glow", "waveletflow"), "waveletflow"),
-            "K": Field(int, 2),
-            "L": Field(int, 2),
-            "hidden": Field(int, 32),
+            "K": Field(_count, 2),
+            "L": Field(_count, 2),
+            "hidden": Field(_count, 32),
             "mask_strategy": Field(_choice(*STRATEGIES), "channel-half"),
         },
         "training": _TRAINING_SECTION,
@@ -159,7 +173,7 @@ SCHEMAS: dict[str, dict[str, dict[str, Field]]] = {
         "run": _RUN_SECTION,
         "eval": {
             "scores": Field(_str),
-            "bins": Field(int, 20),
+            "bins": Field(_count, 20),
         },
     },
     "baseline": {
@@ -168,15 +182,15 @@ SCHEMAS: dict[str, dict[str, dict[str, Field]]] = {
             "dataset": Field(_str),
             "split": Field(_choice(*SPLITS), "test"),
             "levels": Field(_int_list, ()),
-            "bins": Field(int, 20),
+            "bins": Field(_count, 20),
         },
     },
     "sample": {
         "run": _RUN_SECTION,
         "sample": {
             "checkpoint": Field(_str),
-            "count": Field(int, 4),
-            "temperature": Field(_float, 1.0),
+            "count": Field(_count, 4),
+            "temperature": Field(_positive_float, 1.0),
             "seed": Field(int, 0),
         },
     },

@@ -22,6 +22,10 @@ and keep no graph; ``log_prob_graph`` builds one for training.
 
 ``FlowModel.components()`` is ``{"flow": self}``: a Glow model is the
 one-component case of the list that training and checkpoints iterate.
+
+``build_glow`` records its layout arguments as ``model.architecture``, and
+``model.family`` is ``"glow"``; a checkpoint restores the model as
+``build_glow(**architecture)``.
 """
 from __future__ import annotations
 
@@ -159,7 +163,6 @@ class AffineCoupling:
     ):
         self.mask = mask
         self.cond_channels = cond_channels
-        self.hidden = hidden
         C = mask.values.shape[0]
         self.channels = C
         c_in = C + cond_channels
@@ -252,25 +255,20 @@ class FlowModel:
     the input dimension.
     """
 
+    family = "glow"
+    architecture: dict  # set by build_glow: its keyword arguments except seed
+
     def __init__(
         self,
         input_shape: tuple[int, int, int],
         bijectors: list,
         latent_shapes: list[tuple[int, int, int]],
         cond_channels: int = 0,
-        mask_strategy: str = "",
-        K: int = 0,
-        L: int = 1,
-        hidden: int = 0,
     ):
         self.input_shape = tuple(input_shape)
         self.bijectors = bijectors
         self.latent_shapes = [tuple(s) for s in latent_shapes]
         self.cond_channels = cond_channels
-        self.mask_strategy = mask_strategy
-        self.K = K
-        self.L = L
-        self.hidden = hidden
         # Number of squeezes applied before each bijector runs; used to
         # bring conditioning inputs to the right resolution on both paths.
         self.squeeze_depth: list[int] = []
@@ -447,8 +445,11 @@ def build_glow(
     ``mask_strategy`` with a running step index so consecutive steps
     alternate.
     """
-    if K < 1 or L < 1:
-        raise ValueError(f"K and L must be >= 1, got K={K}, L={L}")
+    if min(K, L, hidden) < 1 or cond_channels < 0:
+        raise ValueError(
+            f"K, L and hidden must be >= 1 and cond_channels >= 0, "
+            f"got K={K}, L={L}, hidden={hidden}, cond_channels={cond_channels}"
+        )
     rng = np.random.default_rng(seed)
     C, H, W = in_channels, image_size, image_size
     bijectors: list = []
@@ -479,16 +480,17 @@ def build_glow(
             latent_shapes.append((C - half, H, W))
             C = half
     latent_shapes.append((C, H, W))
-    return FlowModel(
-        input_shape=(in_channels, image_size, image_size),
-        bijectors=bijectors,
-        latent_shapes=latent_shapes,
-        cond_channels=cond_channels,
-        mask_strategy=mask_strategy,
-        K=K,
-        L=L,
-        hidden=hidden,
-    )
+    model = FlowModel((in_channels, image_size, image_size), bijectors, latent_shapes, cond_channels)
+    model.architecture = {
+        "K": K,
+        "L": L,
+        "in_channels": in_channels,
+        "image_size": image_size,
+        "cond_channels": cond_channels,
+        "mask_strategy": mask_strategy,
+        "hidden": hidden,
+    }
+    return model
 
 
 def coupling_parameter_count(model) -> int:

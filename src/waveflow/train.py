@@ -298,8 +298,9 @@ def train(
         raise ValueError("training set is empty")
     if not isinstance(model, (FlowModel, WaveletFlowModel)):
         raise TypeError(f"cannot train a {type(model).__name__}")
-    if isinstance(model, WaveletFlowModel) and images.shape[-1] != model.image_size:
-        raise ValueError(f"images are {images.shape[-1]} px but the model expects {model.image_size}")
+    size = model.architecture["image_size"]
+    if images.shape[-1] != size:
+        raise ValueError(f"images are {images.shape[-1]} px but the model expects {size}")
     parts = {name: (part, _component_level(name)) for name, part in model.components().items()}
     if levels is not None:
         known = sorted(level for _, level in parts.values() if level is not None)

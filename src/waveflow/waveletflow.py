@@ -14,6 +14,11 @@ order and ``component_inputs`` gives each one's (inputs, condition).
 ``GaussianBase`` has a flow's component surface; a Glow ``FlowModel`` is
 the one-component case.
 
+``build_waveletflow`` records its layout arguments as ``model.architecture``
+(``steps_per_level`` keyed by level strings, as JSON stores them), and
+``model.family`` is ``"waveletflow"``; a checkpoint restores the model as
+``build_waveletflow(**architecture)``.
+
 Shape contract: ``component_inputs``, ``GaussianBase.log_prob_graph`` and
 ``WaveletFlowModel.score_batch`` take (N,C,H,W) batches, like the flow graph
 APIs; ``WaveletFlowModel.score`` and ``WaveletFlowModel.sample`` are the
@@ -92,22 +97,14 @@ class LikelihoodReport:
 class WaveletFlowModel:
     """One conditional coupling flow per pyramid level plus the residue model."""
 
-    def __init__(
-        self,
-        image_size: int,
-        level_flows: dict[int, FlowModel],
-        base: GaussianBase,
-        mask_strategy: str,
-        hidden: int,
-        steps_per_level: dict[int, int],
-    ):
+    family = "waveletflow"
+    architecture: dict  # set by build_waveletflow; see the module docstring
+
+    def __init__(self, image_size: int, level_flows: dict[int, FlowModel], base: GaussianBase):
         self.image_size = image_size
         self.depth = int(math.log2(image_size))
         self.level_flows = level_flows
         self.base = base
-        self.mask_strategy = mask_strategy
-        self.hidden = hidden
-        self.steps_per_level = dict(steps_per_level)
 
     def components(self) -> dict[str, FlowModel | GaussianBase]:
         """The independently trained parts in training order: the residue
@@ -187,24 +184,32 @@ class WaveletFlowModel:
 
 def build_waveletflow(
     image_size: int,
-    steps_per_level: int | dict[int, int] = 2,
+    steps_per_level: int | dict[int | str, int] = 2,
     mask_strategy: str = "channel-half",
     hidden: int = 256,
     seed: int = 0,
 ) -> WaveletFlowModel:
-    """Full-depth pyramid model for a square power-of-two image size."""
+    """Full-depth pyramid model for a square power-of-two image size.
+
+    ``steps_per_level`` is one step count for every level, or a count for
+    each level ``1..depth`` keyed by the level as an int or a string.
+    """
     if image_size < 4 or (image_size & (image_size - 1)) != 0:
         raise ValueError(f"image size must be a power of two >= 4, got {image_size}")
     depth = int(math.log2(image_size))
+    levels = range(1, depth + 1)
     if isinstance(steps_per_level, int):
-        steps = {level: steps_per_level for level in range(1, depth + 1)}
+        steps = {level: steps_per_level for level in levels}
     else:
-        steps = dict(steps_per_level)
-        missing = set(range(1, depth + 1)) - set(steps)
+        steps = {int(level): count for level, count in steps_per_level.items()}
+        missing = set(levels) - set(steps)
         if missing:
             raise ValueError(f"steps_per_level missing levels {sorted(missing)}")
+        extra = set(steps) - set(levels)
+        if extra:
+            raise ValueError(f"steps_per_level has levels {sorted(extra)} outside 1..{depth}")
     level_flows: dict[int, FlowModel] = {}
-    for level in range(1, depth + 1):
+    for level in levels:
         size = image_size >> (depth - level + 1)
         level_flows[level] = build_glow(
             K=steps[level],
@@ -216,11 +221,11 @@ def build_waveletflow(
             hidden=hidden,
             seed=seed + level,
         )
-    return WaveletFlowModel(
-        image_size=image_size,
-        level_flows=level_flows,
-        base=GaussianBase(),
-        mask_strategy=mask_strategy,
-        hidden=hidden,
-        steps_per_level=steps,
-    )
+    model = WaveletFlowModel(image_size, level_flows, GaussianBase())
+    model.architecture = {
+        "image_size": image_size,
+        "steps_per_level": {str(level): count for level, count in steps.items()},
+        "mask_strategy": mask_strategy,
+        "hidden": hidden,
+    }
+    return model

@@ -1,6 +1,7 @@
 import base64
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,10 @@ from waveflow.checkpoint import (
 from waveflow.cli import main
 from waveflow.flows import build_glow
 from waveflow.waveletflow import build_waveletflow
+
+# Stored checkpoints of 4 px models (hidden=2), one per family; each must
+# load and re-save byte for byte, which pins the file format.
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def perturb(model, seed):
@@ -70,9 +75,32 @@ class TestRoundTrip:
         save_checkpoint(wavelet_model, path)
         loaded = load_checkpoint(path)
         assert loaded.image_size == wavelet_model.image_size
-        assert loaded.steps_per_level == wavelet_model.steps_per_level
-        assert loaded.mask_strategy == wavelet_model.mask_strategy
-        assert loaded.hidden == wavelet_model.hidden
+        assert loaded.family == wavelet_model.family == "waveletflow"
+        assert loaded.architecture == wavelet_model.architecture
+
+
+@pytest.mark.parametrize(
+    "build, kwargs",
+    [
+        (build_glow, dict(K=2, L=2, in_channels=1, image_size=8, cond_channels=1, hidden=4, seed=5)),
+        (build_waveletflow, dict(image_size=8, steps_per_level={1: 1, 2: 3, 3: 2}, hidden=4, seed=5)),
+    ],
+    ids=["glow", "waveletflow"],
+)
+def test_builder_rebuilds_from_architecture(build, kwargs):
+    model = build(**kwargs)
+    rebuilt = build(**model.architecture)
+    assert [(p.name, p.shape) for p in rebuilt.parameters()] == [
+        (p.name, p.shape) for p in model.parameters()
+    ]
+    assert rebuilt.architecture == model.architecture
+
+
+@pytest.mark.parametrize("name", ["glow_4px.json", "waveletflow_4px.json"])
+def test_stored_checkpoint_loads_and_resaves_byte_identically(name, tmp_path):
+    model = load_checkpoint(DATA / name)
+    save_checkpoint(model, tmp_path / name)
+    assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes()
 
 
 class TestFileFormat:
@@ -179,6 +207,9 @@ DAMAGE = {
     "steps-per-level-list": lambda payload: payload["architecture"].update(steps_per_level=[1, 1, 1]),
     "parameters-not-list": lambda payload: payload.update(parameters=7),
     "nan-parameter": _poison_first_parameter,
+    "unknown-architecture-field": lambda payload: payload["architecture"].update(seed=0),
+    "level-outside-depth": lambda payload: payload["architecture"]["steps_per_level"].update({"9": 1}),
+    "zero-hidden": lambda payload: payload["architecture"].update(hidden=0),
 }
 
 

@@ -235,7 +235,7 @@ class TestScore:
         )
         assert run_cli("score", "--config", cfg) == 0
         model = load_checkpoint(run / "checkpoint.json")
-        assert isinstance(model, FlowModel) and model.L == 2
+        assert isinstance(model, FlowModel) and model.architecture["L"] == 2
         manifest = read_manifest(pipeline["data"] / "manifest.csv")
         with open(out / "scores.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -369,6 +369,18 @@ class TestSample:
             assert load_image(images[0]).shape == (1, 16, 16)
             outs.append([digest(p) for p in images])
         assert outs[0] == outs[1]
+
+    def test_non_positive_count_exits_2(self, pipeline, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path / "s.ini",
+            "[run]\nout = {out}\n[sample]\ncheckpoint = {ckpt}\ncount = -2\n",
+            out=tmp_path / "out",
+            ckpt=pipeline["run"] / "checkpoint.json",
+        )
+        assert run_cli("sample", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "[sample] count" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestErrors:

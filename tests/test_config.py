@@ -71,6 +71,24 @@ class TestRejection:
             path = write(tmp_path, f"[run]\nout = o\n[train]\ndataset = d\n[training]\nlearning_rate = {text}\n")
             with pytest.raises(ConfigError, match=r"\[training\] learning_rate: expected a finite number"):
                 parse_command_config("train", path)
+        # Counts must be >= 1 and the sampling temperature > 0.
+        train = "[run]\nout = o\n[train]\ndataset = d\n"
+        for command, text, name in [
+            ("synth", "[run]\nout = o\nthreads = 0\n", r"\[run\] threads"),
+            ("train", train + "K = 0\n", r"\[train\] K"),
+            ("train", train + "L = -1\n", r"\[train\] L"),
+            ("train", train + "hidden = 0\n", r"\[train\] hidden"),
+            ("train", train + "[training]\nbatch_size = 0\n", r"\[training\] batch_size"),
+            ("train", train + "[training]\nmax_epochs = 0\n", r"\[training\] max_epochs"),
+            ("train", train + "[training]\npatience = 0\n", r"\[training\] patience"),
+            ("eval", "[run]\nout = o\n[eval]\nscores = s\nbins = 0\n", r"\[eval\] bins"),
+            ("baseline", "[run]\nout = o\n[baseline]\ndataset = d\nbins = 0\n", r"\[baseline\] bins"),
+            ("sample", "[run]\nout = o\n[sample]\ncheckpoint = c\ncount = -2\n", r"\[sample\] count"),
+            ("sample", "[run]\nout = o\n[sample]\ncheckpoint = c\ntemperature = 0\n", r"\[sample\] temperature"),
+            ("sample", "[run]\nout = o\n[sample]\ncheckpoint = c\ntemperature = -0.5\n", r"\[sample\] temperature"),
+        ]:
+            with pytest.raises(ConfigError, match=rf"bad value for {name}: expected"):
+                parse_command_config(command, write(tmp_path, text))
 
     def test_bad_pair(self, tmp_path):
         path = write(tmp_path, "[run]\nout = o\n[synth]\nbrightness = 0.5\n")

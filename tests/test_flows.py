@@ -310,6 +310,12 @@ class TestModelPlumbing:
         with pytest.raises(ValueError, match="squeeze"):
             build_glow(K=1, L=3, in_channels=1, image_size=4, mask_strategy="checkerboard")
 
+    @pytest.mark.parametrize("bad", [{"K": 0}, {"L": 0}, {"hidden": 0}, {"cond_channels": -1}])
+    def test_bad_layout_rejected(self, bad):
+        layout = dict(K=1, L=1, in_channels=2, image_size=4, hidden=2) | bad
+        with pytest.raises(ValueError, match="must be >= 1"):
+            build_glow(**layout)
+
     def test_wrong_input_shape_rejected(self):
         model = build_glow(K=1, L=1, in_channels=2, image_size=4, mask_strategy="channel-half")
         with pytest.raises(ad.ShapeError):

@@ -30,13 +30,13 @@ class TestConstruction:
         assert [model.level_size(level) for level in [1, 2, 3, 4, 5]] == [1, 2, 4, 8, 16]
         assert model.scoring_levels() == (3, 4, 5)
         for flow in model.level_flows.values():
-            assert flow.L == 1
+            assert flow.architecture["L"] == 1
             assert flow.cond_channels == 1
             assert flow.input_shape[0] == 3
 
     def test_per_level_step_counts(self):
         model = build_waveletflow(image_size=8, steps_per_level={1: 1, 2: 3, 3: 2}, hidden=4)
-        assert model.level_flows[2].K == 3
+        assert model.level_flows[2].architecture["K"] == 3
 
     def test_missing_level_in_step_map_rejected(self):
         with pytest.raises(ValueError, match="missing"):
