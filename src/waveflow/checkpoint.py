@@ -6,9 +6,9 @@ layer, keyed by its entry in ``model.components()``, and each parameter
 array as base64 over little-endian 64-bit floats, so a round trip
 reproduces likelihoods bit for bit on any platform.  Loading rebuilds every
 family the same way, as ``builder(**architecture)``, after checking each
-field's JSON type against the family's field table; unknown fields and
-non-finite parameter values are rejected, so a damaged file fails with
-:class:`CheckpointError`.
+field's JSON type against the family's field table (a JSON ``true`` is not
+an integer); unknown fields and non-finite parameter values are rejected,
+so a damaged file fails with :class:`CheckpointError`.
 """
 from __future__ import annotations
 
@@ -82,11 +82,11 @@ def _check_architecture(family, arch) -> None:
     for name, kind in fields.items():
         if name not in arch:
             raise CheckpointError(f"architecture is missing field '{name}'")
-        if not isinstance(arch[name], kind):
+        if type(arch[name]) is not kind:  # a JSON true is a bool, not an int
             raise CheckpointError(
                 f"architecture field '{name}' must be a {kind.__name__}, got {type(arch[name]).__name__}"
             )
-    if family == "waveletflow" and not all(isinstance(v, int) for v in arch["steps_per_level"].values()):
+    if family == "waveletflow" and not all(type(v) is int for v in arch["steps_per_level"].values()):
         raise CheckpointError("architecture field 'steps_per_level' must map levels to integer step counts")
 
 
@@ -141,7 +141,7 @@ def load_checkpoint(path: str | os.PathLike) -> FlowModel | WaveletFlowModel:
     if missing:
         raise CheckpointError(f"checkpoint is missing keys: {sorted(missing)}")
     version = payload["format_version"]
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise CheckpointError(
             f"unsupported format_version {version!r}; this build reads version {FORMAT_VERSION}"
         )

@@ -42,6 +42,13 @@ def _count(text: str) -> int:
     return value
 
 
+def _image_size(text: str) -> int:
+    value = int(text)
+    if value < 4 or value & (value - 1):
+        raise ValueError(f"expected a power of two >= 4, got {text!r}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = _float(text)
     if value <= 0:
@@ -134,10 +141,10 @@ SCHEMAS: dict[str, dict[str, dict[str, Field]]] = {
     "synth": {
         "run": _RUN_SECTION,
         "synth": {
-            "image_size": Field(int, 32),
-            "train_in_dist": Field(int, 240),
-            "test_in_dist": Field(int, 80),
-            "test_ood": Field(int, 80),
+            "image_size": Field(_image_size, 32),
+            "train_in_dist": Field(_count, 240),
+            "test_in_dist": Field(_count, 80),
+            "test_ood": Field(_count, 80),
             "brightness": Field(_pair(_float), (0.62, 0.88)),
             "background_gradient": Field(_float, 0.12),
             "seed": Field(int, 0),

@@ -19,7 +19,7 @@ import io
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,6 @@ __all__ = [
     "render_image",
     "generate_synthetic",
     "load_split",
-    "knobs_off",
 ]
 
 LABELS = ("in_dist", "ood")
@@ -417,8 +416,3 @@ def load_split(
         raise ManifestError(f"no records with split={split!r}, label={label!r}")
     images = np.stack([load_image(manifest.image_path(rec)) for rec in records])
     return images, records
-
-
-def knobs_off(profile: LesionProfile) -> LesionProfile:
-    """The profile with every class feature except radius/contrast disabled."""
-    return replace(profile, border_irregularity=0.0, texture=0.0, hair_strokes=(0, 0))

@@ -8,7 +8,9 @@ log-determinant is the sum of s over that partition.  Scales are bounded
 to [-2, 2] with a tanh so exp can never overflow.  A model is a stack of
 (activation-normalization, channel-reversal, coupling) steps, optionally
 wrapped in squeeze/split scales; factored-out halves are scored against
-a standard normal immediately.
+a standard normal immediately.  Conditioning applies only to single-scale
+(L=1) flows, such as the levels of a wavelet pyramid: every coupling then
+sees the condition at the input resolution.
 
 Shape contract: the graph APIs (``forward_latents``, ``log_prob_graph``,
 ``inverse_from_latents``, ``initialize_actnorm`` and every bijector) take
@@ -269,14 +271,6 @@ class FlowModel:
         self.bijectors = bijectors
         self.latent_shapes = [tuple(s) for s in latent_shapes]
         self.cond_channels = cond_channels
-        # Number of squeezes applied before each bijector runs; used to
-        # bring conditioning inputs to the right resolution on both paths.
-        self.squeeze_depth: list[int] = []
-        depth = 0
-        for b in bijectors:
-            self.squeeze_depth.append(depth)
-            if isinstance(b, Squeeze):
-                depth += 1
         assert sum(int(np.prod(s)) for s in self.latent_shapes) == int(np.prod(self.input_shape))
 
     def parameters(self) -> list[ad.Parameter]:
@@ -298,12 +292,12 @@ class FlowModel:
     def initialize_actnorm(self, batch: np.ndarray, cond: np.ndarray | None = None) -> None:
         """Data-dependent init: run the batch through, initializing each
         activation-normalization layer on its own input."""
-        t, cond_levels = self._prepare(batch, cond)
+        t, cond_t = self._prepare(batch, cond)
         with ad.no_grad():
-            for idx, b in enumerate(self.bijectors):
+            for b in self.bijectors:
                 if isinstance(b, ActNorm) and not b.initialized:
                     b.initialize(t.data)
-                t = self._apply_forward(idx, b, t, cond_levels)[0]
+                t = self._apply_forward(b, t, cond_t)[0]
 
     def _prepare(self, x: np.ndarray, cond: np.ndarray | None):
         x = np.asarray(x, dtype=np.float64)
@@ -311,34 +305,26 @@ class FlowModel:
             raise ad.ShapeError(f"flow input must be (N,C,H,W), got {x.shape}")
         if x.shape[1:] != self.input_shape:
             raise ad.ShapeError(f"flow input shape {x.shape[1:]} != model shape {self.input_shape}")
-        return ad.Tensor(x), self._cond_levels(cond)
+        cond = self._condition(cond)
+        return ad.Tensor(x), None if cond is None else ad.Tensor(cond)
 
-    def _cond_levels(self, cond: np.ndarray | None) -> dict[int, np.ndarray] | None:
-        """The (N,C,H,W) condition at every squeeze depth; None if unconditional."""
+    def _condition(self, cond: np.ndarray | None) -> np.ndarray | None:
+        """The (N,C,H,W) condition every coupling sees; None if unconditional."""
         if not self.cond_channels:
             return None
         if cond is None:
             raise ValueError("model is conditional but no condition was given")
-        cur = np.asarray(cond, dtype=np.float64)
-        if cur.ndim != 4:
-            raise ad.ShapeError(f"condition must be (N,C,H,W), got {cur.shape}")
-        levels = {0: cur}
-        for d in range(1, max(self.squeeze_depth, default=0) + 1):
-            cur = ad.squeeze2x2_array(cur)
-            levels[d] = cur
-        return levels
+        cond = np.asarray(cond, dtype=np.float64)
+        if cond.ndim != 4:
+            raise ad.ShapeError(f"condition must be (N,C,H,W), got {cond.shape}")
+        return cond
 
-    def _apply_forward(self, idx, bij, t, cond_levels):
+    def _apply_forward(self, bij, t, cond_t):
         """Returns (next tensor, logdet or None, factored or None)."""
         if isinstance(bij, AffineCoupling):
-            cond_t = None
-            if cond_levels is not None:
-                cond_t = ad.Tensor(cond_levels[self.squeeze_depth[idx]])
-            z, ld = bij.forward(t, cond_t)
-            return z, ld, None
+            return (*bij.forward(t, cond_t), None)
         if isinstance(bij, ActNorm):
-            z, ld = bij.forward(t)
-            return z, ld, None
+            return (*bij.forward(t), None)
         if isinstance(bij, Split):
             kept, factored = bij.forward(t)
             return kept, None, factored
@@ -346,11 +332,11 @@ class FlowModel:
 
     def forward_latents(self, x: np.ndarray, cond: np.ndarray | None = None):
         """Normalizing pass: returns (latents, total logdet) as graph tensors."""
-        t, cond_levels = self._prepare(x, cond)
+        t, cond_t = self._prepare(x, cond)
         logdet: ad.Tensor = ad.Tensor(np.zeros(()))
         latents: list[ad.Tensor] = []
         for idx, bij in enumerate(self.bijectors):
-            t, ld, factored = self._apply_forward(idx, bij, t, cond_levels)
+            t, ld, factored = self._apply_forward(bij, t, cond_t)
             if ld is not None:
                 logdet = ad.add(logdet, ld)
             if factored is not None:
@@ -390,19 +376,17 @@ class FlowModel:
         for z, shape in zip(latents, self.latent_shapes):
             if np.ndim(z) != 4 or np.shape(z)[1:] != shape:
                 raise ad.ShapeError(f"latent shape {np.shape(z)} != expected (N,) + {shape}")
-        cond_levels = self._cond_levels(cond)
+        cond = self._condition(cond)
         t = np.asarray(latents[-1], dtype=np.float64)
         pending = len(latents) - 2  # next factored latent to consume
         logdet_gen: float | np.ndarray = 0.0
         with ad.no_grad():
-            for idx in range(len(self.bijectors) - 1, -1, -1):
-                bij = self.bijectors[idx]
+            for bij in reversed(self.bijectors):
                 if isinstance(bij, Split):
                     t = bij.inverse(t, np.asarray(latents[pending], dtype=np.float64))
                     pending -= 1
                 elif isinstance(bij, AffineCoupling):
-                    c = cond_levels[self.squeeze_depth[idx]] if cond_levels is not None else None
-                    t, ld = bij.inverse(t, c)
+                    t, ld = bij.inverse(t, cond)
                     logdet_gen = logdet_gen + ld
                 elif isinstance(bij, ActNorm):
                     t, ld = bij.inverse(t)
@@ -416,15 +400,12 @@ class FlowModel:
         rng: np.random.Generator,
         temperature: float = 1.0,
         cond: np.ndarray | None = None,
-        return_latents: bool = False,
-    ):
-        """Draw one (C,H,W) image, and optionally its latents, at a temperature."""
+    ) -> np.ndarray:
+        """Draw one (C,H,W) image at a temperature."""
         if temperature <= 0:
             raise ValueError(f"temperature must be > 0, got {temperature}")
         latents = [temperature * rng.standard_normal((1,) + shape) for shape in self.latent_shapes]
         x, _ = self.inverse_from_latents(latents, None if cond is None else np.asarray(cond)[None])
-        if return_latents:
-            return x[0], [z[0] for z in latents]
         return x[0]
 
 
@@ -441,15 +422,17 @@ def build_glow(
     """Assemble L scales of K (actnorm, reversal, coupling) steps.
 
     With L > 1 every scale starts with a squeeze and all but the last end
-    with a split; with L == 1 neither happens.  Coupling masks follow
-    ``mask_strategy`` with a running step index so consecutive steps
-    alternate.
+    with a split; with L == 1 neither happens.  Conditioning needs L == 1.
+    Coupling masks follow ``mask_strategy`` with a running step index so
+    consecutive steps alternate.
     """
     if min(K, L, hidden) < 1 or cond_channels < 0:
         raise ValueError(
             f"K, L and hidden must be >= 1 and cond_channels >= 0, "
             f"got K={K}, L={L}, hidden={hidden}, cond_channels={cond_channels}"
         )
+    if cond_channels and L > 1:
+        raise ValueError(f"a conditional flow must be single-scale (L=1), got L={L}")
     rng = np.random.default_rng(seed)
     C, H, W = in_channels, image_size, image_size
     bijectors: list = []
@@ -463,13 +446,12 @@ def build_glow(
                 )
             bijectors.append(Squeeze())
             C, H, W = 4 * C, H // 2, W // 2
-        cond_here = cond_channels * (4 ** sum(isinstance(b, Squeeze) for b in bijectors))
         for _ in range(K):
             bijectors.append(ActNorm(C, name=f"scale{scale}.step{step}.actnorm"))
             bijectors.append(ChannelReverse())
             mask = make_mask(mask_strategy, step, (C, H, W))
             bijectors.append(
-                AffineCoupling(mask, cond_here, hidden, rng, name=f"scale{scale}.step{step}.coupling")
+                AffineCoupling(mask, cond_channels, hidden, rng, name=f"scale{scale}.step{step}.coupling")
             )
             step += 1
         if scale < L - 1:

@@ -64,10 +64,8 @@ def make_mask(strategy: str, step_index: int, shape: tuple[int, ...]) -> Mask:
         raise MaskError(f"unknown mask strategy {strategy!r}; expected one of {STRATEGIES}")
     if step_index < 0:
         raise MaskError(f"step_index must be >= 0, got {step_index}")
-    if len(shape) == 2:
-        shape = (1,) + tuple(shape)
     if len(shape) != 3:
-        raise MaskError(f"mask shape must be (C,H,W) or (H,W), got {shape}")
+        raise MaskError(f"mask shape must be (C,H,W), got {shape}")
     C, H, W = (int(s) for s in shape)
     if C < 1 or H < 1 or W < 1:
         raise MaskError(f"mask shape must be positive, got {shape}")

@@ -155,17 +155,17 @@ def _warp(plane: np.ndarray, matrix: np.ndarray, tx: float, ty: float) -> np.nda
 
 def augment(image: np.ndarray, rng: np.random.Generator, config: AugmentConfig) -> np.ndarray:
     """One uniformly-sampled affine warp composed of rotation, translation,
-    scaling, and shear, applied with bilinear interpolation."""
+    scaling, and shear, applied with bilinear interpolation to every plane
+    of a (C,H,W) image."""
     image = np.asarray(image, dtype=np.float64)
-    squeeze = image.ndim == 2
-    planes = image[None] if squeeze else image
+    if image.ndim != 3:
+        raise ValueError(f"augment takes a (C,H,W) image, got shape {image.shape}")
     params = sample_augment_params(rng, config)
     matrix = _affine_matrix(params)
     out = np.stack(
-        [_warp(p, matrix, params["translate_x"], params["translate_y"]) for p in planes]
+        [_warp(p, matrix, params["translate_x"], params["translate_y"]) for p in image]
     )
-    out = np.clip(out, 0.0, 1.0)
-    return out[0] if squeeze else out
+    return np.clip(out, 0.0, 1.0)
 
 
 def dequantize(image: np.ndarray, rng: np.random.Generator) -> np.ndarray:

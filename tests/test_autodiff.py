@@ -297,14 +297,14 @@ def test_structural_gradients_match_finite_differences():
             u = ad.slice_channels(ad.reverse_channels(p), 1, 2)
             c = _weighted_sum(ad.concat_channels([u]), weights2)
             d = ad.reduce_sum(ad.channel_affine(p, scale, offset), axes=(0, 2, 3))
-            return (a + c + ad.reduce_sum(ad.mul(d, ad.Tensor(np.array([0.3, -0.2]))))).item()
+            return ad.add(ad.add(a, c), ad.reduce_sum(ad.mul(d, ad.Tensor(np.array([0.3, -0.2]))))).item()
 
         t = ad.squeeze2x2(p)
         a = _weighted_sum(t, weights)
         u = ad.slice_channels(ad.reverse_channels(p), 1, 2)
         c = _weighted_sum(ad.concat_channels([u]), weights2)
         d = ad.reduce_sum(ad.channel_affine(p, scale, offset), axes=(0, 2, 3))
-        (a + c + ad.reduce_sum(ad.mul(d, ad.Tensor(np.array([0.3, -0.2]))))).backward()
+        ad.add(ad.add(a, c), ad.reduce_sum(ad.mul(d, ad.Tensor(np.array([0.3, -0.2]))))).backward()
         fds = ad.finite_diff_grad(loss_fn, [p, scale, offset])
         for prm, fd in zip((p, scale, offset), fds):
             assert rel_err(prm.grad, fd) < 1e-3, prm.name

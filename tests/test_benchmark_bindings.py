@@ -1,11 +1,20 @@
-"""The benchmark's tracer wraps package names by attribute; a simplification
-that deletes or renames one of them must fail here, not in the benchmark."""
+"""The benchmark's tracer wraps package names by attribute, and its runner
+calls others; a simplification that deletes or renames one of them must
+fail here, not in the benchmark."""
 from __future__ import annotations
 
 import importlib
+import math
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from waveflow.checkpoint import load_checkpoint
+from waveflow.waveletflow import WaveletFlowModel, build_waveletflow
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+DATA = Path(__file__).resolve().parent / "data"
 
 # Wrapped bindings at the time the benchmark was defined.
 EXPECTED_PATCHES = 44
@@ -23,3 +32,30 @@ def test_tracer_patches_every_binding_and_restores_them(monkeypatch):
     assert trace._patches == []
     for owner, attr, original in patches:
         assert getattr(owner, attr) is original, f"{owner}.{attr} was not restored"
+
+
+# The stored 4 px WaveletFlow has no level large enough to score, so the
+# pyramid case is an 8 px build with the stored model's hidden width.
+SCORED_MODELS = {
+    "glow": lambda: load_checkpoint(DATA / "glow_4px.json"),
+    "waveletflow": lambda: build_waveletflow(8, steps_per_level=1, hidden=2, seed=0),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SCORED_MODELS))
+def test_benchmark_score_fn_scores_both_families(family, monkeypatch):
+    """perfbench/run.py calls these package names to score; a deletion or
+    rename must fail here too, not only in the benchmark."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = importlib.import_module("run")
+    model = SCORED_MODELS[family]()
+    size = model.architecture["image_size"]
+    x = np.random.default_rng(0).random((1, size, size))
+    value = run.score_fn(model)(x)
+    expected = (
+        model.score(x).score
+        if isinstance(model, WaveletFlowModel)
+        else model.log_density(x).bits_per_dim
+    )
+    assert isinstance(value, float) and math.isfinite(value)
+    assert value == expected

@@ -82,7 +82,7 @@ class TestRoundTrip:
 @pytest.mark.parametrize(
     "build, kwargs",
     [
-        (build_glow, dict(K=2, L=2, in_channels=1, image_size=8, cond_channels=1, hidden=4, seed=5)),
+        (build_glow, dict(K=2, L=1, in_channels=3, image_size=8, cond_channels=1, hidden=4, seed=5)),
         (build_waveletflow, dict(image_size=8, steps_per_level={1: 1, 2: 3, 3: 2}, hidden=4, seed=5)),
     ],
     ids=["glow", "waveletflow"],
@@ -213,6 +213,16 @@ DAMAGE = {
 }
 
 
+def _reject_by_loader_and_cli(path, tmp_path, capsys, match=None):
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+    cfg = tmp_path / "score.ini"
+    cfg.write_text(f"[run]\nout = {tmp_path / 'out'}\n[score]\ndataset = {tmp_path}\ncheckpoint = {path}\n")
+    assert main(["score", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("damage", sorted(DAMAGE))
 def test_damaged_checkpoint_rejected_by_loader_and_cli(damage, wavelet_model, tmp_path, capsys):
     path = tmp_path / "wf.ckpt"
@@ -220,10 +230,32 @@ def test_damaged_checkpoint_rejected_by_loader_and_cli(damage, wavelet_model, tm
     payload = json.loads(path.read_text())
     DAMAGE[damage](payload)
     path.write_text(json.dumps(payload))
-    with pytest.raises(CheckpointError):
-        load_checkpoint(path)
-    cfg = tmp_path / "score.ini"
-    cfg.write_text(f"[run]\nout = {tmp_path / 'out'}\n[score]\ndataset = {tmp_path}\ncheckpoint = {path}\n")
-    assert main(["score", "--config", str(cfg)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
+    _reject_by_loader_and_cli(path, tmp_path, capsys)
+
+
+# One edited value in a stored checkpoint: (file, edit, expected message).
+# A JSON true is not an integer, and a conditional flow must be single-scale.
+STORED_DAMAGE = {
+    "glow-K-true": ("glow_4px.json", lambda p: p["architecture"].update(K=True), "'K' must be a int"),
+    "format-version-true": ("glow_4px.json", lambda p: p.update(format_version=True), "format_version"),
+    "steps-per-level-true": (
+        "waveletflow_4px.json",
+        lambda p: p["architecture"]["steps_per_level"].update({"1": True}),
+        "steps_per_level",
+    ),
+    "conditional-multiscale-glow": (
+        "glow_4px.json",
+        lambda p: p["architecture"].update(cond_channels=1),
+        "architecture is invalid: .*single-scale",
+    ),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(STORED_DAMAGE))
+def test_edited_stored_checkpoint_rejected_by_loader_and_cli(damage, tmp_path, capsys):
+    name, edit, match = STORED_DAMAGE[damage]
+    payload = json.loads((DATA / name).read_text())
+    edit(payload)
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    _reject_by_loader_and_cli(path, tmp_path, capsys, match)

@@ -112,6 +112,15 @@ class TestSynth:
             rel = name if name == "manifest.csv" else f"images/{name}"
             assert digest(tmp_path / "a" / rel) == digest(tmp_path / "b" / rel)
 
+    def test_image_size_not_power_of_two_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path / "s.ini", "[run]\nout = {out}\n[synth]\nimage_size = 12\n", out=tmp_path / "d"
+        )
+        assert run_cli("synth", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "[synth] image_size" in err
+        assert not (tmp_path / "d").exists()
+
 
 class TestTrain:
     def test_outputs(self, pipeline):

@@ -75,6 +75,12 @@ class TestRejection:
         train = "[run]\nout = o\n[train]\ndataset = d\n"
         for command, text, name in [
             ("synth", "[run]\nout = o\nthreads = 0\n", r"\[run\] threads"),
+            ("synth", "[run]\nout = o\n[synth]\ntrain_in_dist = 0\n", r"\[synth\] train_in_dist"),
+            ("synth", "[run]\nout = o\n[synth]\ntest_in_dist = -3\n", r"\[synth\] test_in_dist"),
+            ("synth", "[run]\nout = o\n[synth]\ntest_ood = 0\n", r"\[synth\] test_ood"),
+            ("synth", "[run]\nout = o\n[synth]\nimage_size = 12\n", r"\[synth\] image_size"),
+            ("synth", "[run]\nout = o\n[synth]\nimage_size = 2\n", r"\[synth\] image_size"),
+            ("synth", "[run]\nout = o\n[synth]\nimage_size = -8\n", r"\[synth\] image_size"),
             ("train", train + "K = 0\n", r"\[train\] K"),
             ("train", train + "L = -1\n", r"\[train\] L"),
             ("train", train + "hidden = 0\n", r"\[train\] hidden"),

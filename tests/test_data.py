@@ -13,7 +13,6 @@ from waveflow.data import (
     SynthConfig,
     _image_rng,
     generate_synthetic,
-    knobs_off,
     load_image,
     load_split,
     read_manifest,
@@ -24,6 +23,11 @@ from waveflow.data import (
 from waveflow.haar import build_pyramid
 
 SMALL = dataclasses.replace(SynthConfig(), train_in_dist=6, test_in_dist=4, test_ood=4)
+
+
+def knobs_off(profile: LesionProfile) -> LesionProfile:
+    """The profile with every class feature except radius/contrast disabled."""
+    return dataclasses.replace(profile, border_irregularity=0.0, texture=0.0, hair_strokes=(0, 0))
 
 
 def tree_digest(root):

@@ -86,11 +86,9 @@ class TestAugment:
             means.append(out.mean())
         assert abs(np.mean(means) - img.mean()) < 0.15
 
-    def test_two_dim_input_supported(self):
-        img = np.random.default_rng(4).random((8, 8))
-        out = augment(img, np.random.default_rng(4), IDENTITY_AUG)
-        assert out.shape == (8, 8)
-        assert np.array_equal(out, img)
+    def test_two_dim_input_rejected(self):
+        with pytest.raises(ValueError, match=r"\(C,H,W\)"):
+            augment(np.zeros((8, 8)), np.random.default_rng(0), IDENTITY_AUG)
 
     def test_zero_scale_rejected(self):
         cfg = dataclasses.replace(IDENTITY_AUG, scaling=(0.0, 0.0))
