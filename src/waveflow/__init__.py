@@ -8,7 +8,8 @@ dimension, averaged over the informative levels, is the anomaly score.
 Every model graph API takes (N,C,H,W) batches; a single image is a batch
 with N=1.  The single-image entry points ``WaveletFlowModel.score``,
 ``FlowModel.log_density`` and the two ``sample`` methods take or return
-one (C,H,W) image; ``WaveletFlowModel.score_batch`` scores a batch.
+one (C,H,W) image.  Every detector (``score_batch`` of either model
+family, ``wavelet_magnitude_score``) returns ``ScoreReport``s.
 """
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -29,13 +30,14 @@ from .flows import (
     FlowModel,
     FlowNumericsError,
     LogDensity,
+    ScoreReport,
     build_glow,
     coupling_parameter_count,
 )
 from .haar import HaarLevel, HaarPyramid, build_pyramid, haar_forward, haar_inverse, reconstruct
 from .masks import STRATEGIES, MaskError, make_mask
 from .train import AugmentConfig, TrainConfig, TrainHistory, augment, dequantize, train
-from .waveletflow import LikelihoodReport, WaveletFlowModel, build_waveletflow
+from .waveletflow import WaveletFlowModel, build_waveletflow
 
 __version__ = "0.1.0"
 
@@ -48,11 +50,11 @@ __all__ = [
     "HaarLevel",
     "HaarPyramid",
     "LesionProfile",
-    "LikelihoodReport",
     "LogDensity",
     "ManifestRecord",
     "MaskError",
     "STRATEGIES",
+    "ScoreReport",
     "SynthConfig",
     "TrainConfig",
     "TrainHistory",

@@ -4,13 +4,15 @@ Every command reads one sectioned config file, applies the --out/--seed/
 --threads overrides, writes the fully-resolved config next to its
 outputs, and exits 0 on success — or nonzero with a one-line diagnostic
 on stderr (2 for configuration problems, 1 for runtime failures).
+
+``score`` and ``baseline`` share one chunked loop that turns each
+detector's ``ScoreReport`` into a ``scores.csv`` row.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -31,15 +33,15 @@ from .data import (
     save_image,
 )
 from .evaluate import auc, metrics_json, summarize, wavelet_magnitude_score
-from .flows import bits_per_dim, build_glow
+from .flows import build_glow
 from .train import AugmentConfig, TrainConfig, train
-from .waveletflow import WaveletFlowModel, build_waveletflow
+from .waveletflow import build_waveletflow
 
 __all__ = ["main"]
 
-# Manifest records scored per model call by ``waveflow score``.  A chunk
-# amortizes the per-call Python work; scoring keeps no autodiff graph, so
-# its activations stay a few MB.
+# Manifest records scored per detector call by ``waveflow score`` and
+# ``waveflow baseline``.  A chunk amortizes the per-call Python work;
+# scoring keeps no autodiff graph, so its activations stay a few MB.
 SCORE_CHUNK = 8
 
 
@@ -62,9 +64,7 @@ def _parse_args(argv):
         p.add_argument("--config", required=True, help="path to the run config file")
         p.add_argument("--out", help="output directory (overrides [run] out)")
         p.add_argument("--seed", type=int, help="override the command's seed")
-        p.add_argument(
-            "--threads", type=int, help="worker cap for synth and baseline (overrides [run] threads)"
-        )
+        p.add_argument("--threads", type=int, help="worker cap for synth (overrides [run] threads)")
     return parser.parse_args(argv)
 
 
@@ -212,40 +212,34 @@ def _evaluate_rows(rows: list[dict], bins: int, out_dir: Path) -> None:
     (out_dir / "metrics.json").write_text(metrics_json(payload), encoding="ascii")
 
 
-def cmd_score(cfg: ResolvedConfig, out_dir: Path) -> None:
-    model = load_checkpoint(cfg.get("score", "checkpoint"))
-    manifest = read_manifest(Path(cfg.get("score", "dataset")) / "manifest.csv")
-    split = cfg.get("score", "split")
+def _score_split(cfg: ResolvedConfig, command: str, detector) -> list[dict]:
+    """The ``scores.csv`` rows of the command's dataset split: ``detector``
+    maps each chunk of SCORE_CHUNK images, a (N,1,S,S) array, to one report
+    per image.  Every image must have the shape of the split's first."""
+    manifest = read_manifest(Path(cfg.get(command, "dataset")) / "manifest.csv")
+    split = cfg.get(command, "split")
     records = manifest.select(split=split)
     if not records:
         raise ManifestError(f"no records in split {split!r}")
-
-    if isinstance(model, WaveletFlowModel):
-
-        def score_chunk(images: np.ndarray) -> list[dict]:
-            scored = []
-            for report in model.score_batch(images):
-                columns = {"score": report.score}
-                for level, bpd in sorted(report.per_level_bpd.items()):
-                    columns[f"level_{level}"] = bpd
-                scored.append(columns)
-            return scored
-
-    else:
-        dims = int(np.prod(model.input_shape))
-
-        def score_chunk(images: np.ndarray) -> list[dict]:
-            with ad.no_grad():
-                log_prob = model.log_prob_graph(images).data
-            return [{"score": float(bpd)} for bpd in bits_per_dim(log_prob, dims)]
-
-    rows = []
+    rows, shape = [], None
     for lo in range(0, len(records), SCORE_CHUNK):
         chunk = records[lo : lo + SCORE_CHUNK]
-        images = np.stack([load_image(manifest.image_path(rec)) for rec in chunk])
-        for rec, scores in zip(chunk, score_chunk(images)):
-            rows.append({"path": rec.path, "label": rec.label, **scores})
-    _write_scores(out_dir / "scores.csv", rows)
+        images = [load_image(manifest.image_path(rec)) for rec in chunk]
+        shape = shape or images[0].shape
+        for rec, image in zip(chunk, images):
+            if image.shape != shape:
+                raise ValueError(f"{rec.path}: shape {image.shape} differs from the first image's {shape}")
+        for rec, report in zip(chunk, detector(np.stack(images))):
+            row = {"path": rec.path, "label": rec.label, "score": report.score}
+            for level, value in sorted(report.per_level.items()):
+                row[f"level_{level}"] = value
+            rows.append(row)
+    return rows
+
+
+def cmd_score(cfg: ResolvedConfig, out_dir: Path) -> None:
+    model = load_checkpoint(cfg.get("score", "checkpoint"))
+    _write_scores(out_dir / "scores.csv", _score_split(cfg, "score", model.score_batch))
 
 
 def cmd_eval(cfg: ResolvedConfig, out_dir: Path) -> None:
@@ -254,26 +248,10 @@ def cmd_eval(cfg: ResolvedConfig, out_dir: Path) -> None:
 
 
 def cmd_baseline(cfg: ResolvedConfig, out_dir: Path) -> None:
-    manifest = read_manifest(Path(cfg.get("baseline", "dataset")) / "manifest.csv")
-    split = cfg.get("baseline", "split")
-    records = manifest.select(split=split)
-    if not records:
-        raise ManifestError(f"no records in split {split!r}")
     levels = list(cfg.get("baseline", "levels")) or None
-
-    def worker(rec):
-        report = wavelet_magnitude_score(load_image(manifest.image_path(rec)), levels=levels)
-        row = {"path": rec.path, "label": rec.label, "score": report.score}
-        for level, magnitude in sorted(report.per_level_magnitude.items()):
-            row[f"level_{level}"] = magnitude
-        return row
-
-    threads = cfg.get("run", "threads")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(worker, records))
-    else:
-        rows = [worker(rec) for rec in records]
+    rows = _score_split(
+        cfg, "baseline", lambda images: [wavelet_magnitude_score(im, levels=levels) for im in images]
+    )
     _write_scores(out_dir / "scores.csv", rows)
     _evaluate_rows(rows, cfg.get("baseline", "bins"), out_dir)
 

@@ -262,11 +262,11 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.image_size < 4:
-            raise ValueError(f"image_size must be >= 4, got {self.image_size}")
+        if self.image_size < 4 or self.image_size & (self.image_size - 1):
+            raise ValueError(f"image_size must be a power of two >= 4, got {self.image_size}")
         for attr in ("train_in_dist", "test_in_dist", "test_ood"):
-            if getattr(self, attr) < 0:
-                raise ValueError(f"{attr} must be >= 0")
+            if getattr(self, attr) < 1:
+                raise ValueError(f"{attr} must be >= 1, got {getattr(self, attr)}")
         lo, hi = self.brightness
         if not (0 <= lo <= hi <= 1):
             raise ValueError(f"brightness range ({lo}, {hi}) must sit inside [0, 1]")

@@ -5,19 +5,21 @@ the rank statistic P(anomaly score > nominal score) + 0.5 P(tie),
 computed with midranks; the ROC sweep visits every distinct score as a
 threshold, so tied scores across classes show up as diagonal segments
 whose trapezoid area matches the rank AUC exactly.
+
+``wavelet_magnitude_score`` is a detector like the flows: it returns the
+same ``ScoreReport``, with the mean absolute detail coefficient per level.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
+from .flows import ScoreReport
 from .haar import build_pyramid
 from .waveletflow import MIN_SCORING_SIZE
 
 __all__ = [
-    "BaselineReport",
     "auc",
     "roc_points",
     "trapezoid_area",
@@ -131,14 +133,7 @@ def summarize(id_scores, ood_scores, histogram_bins: int = 20) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class BaselineReport:
-    per_level_magnitude: dict[int, float]
-    scoring_levels: tuple[int, ...]
-    score: float
-
-
-def wavelet_magnitude_score(image: np.ndarray, levels: list[int] | None = None) -> BaselineReport:
+def wavelet_magnitude_score(image: np.ndarray, levels: list[int] | None = None) -> ScoreReport:
     """Training-free detector: mean absolute detail coefficient per level,
     averaged over the same levels the flow-based scorer uses."""
     pyramid = build_pyramid(np.asarray(image, dtype=np.float64))
@@ -163,7 +158,7 @@ def wavelet_magnitude_score(image: np.ndarray, levels: list[int] | None = None) 
             f"no level of size >= {MIN_SCORING_SIZE} to score; pass explicit levels"
         )
     score = float(np.mean([magnitudes[lvl] for lvl in chosen]))
-    return BaselineReport(per_level_magnitude=magnitudes, scoring_levels=chosen, score=score)
+    return ScoreReport(per_level=magnitudes, scoring_levels=chosen, score=score)
 
 
 def metrics_json(payload: dict) -> str:

@@ -18,9 +18,13 @@ Shape contract: the graph APIs (``forward_latents``, ``log_prob_graph``,
 batch with N=1.  ``FlowModel.log_density`` and ``FlowModel.sample`` are the
 single-image entry points: they take and return (C,H,W) arrays.
 
-The forward-only entry points (``log_density``, ``initialize_actnorm``,
-``inverse_from_latents`` and so ``sample``) run under ``autodiff.no_grad``
-and keep no graph; ``log_prob_graph`` builds one for training.
+Every detector returns one ``ScoreReport`` per image of a batch;
+``FlowModel.score_batch`` gives a pixel flow's bits/dim, with no levels.
+
+The forward-only entry points (``log_density``, ``score_batch``,
+``initialize_actnorm``, ``inverse_from_latents`` and so ``sample``) run
+under ``autodiff.no_grad`` and keep no graph; ``log_prob_graph`` builds one
+for training.
 
 ``FlowModel.components()`` is ``{"flow": self}``: a Glow model is the
 one-component case of the list that training and checkpoints iterate.
@@ -41,6 +45,8 @@ from .masks import Mask, make_mask
 
 __all__ = [
     "LogDensity",
+    "ScoreReport",
+    "checked_images",
     "FlowNumericsError",
     "bits_per_dim",
     "ActNorm",
@@ -72,6 +78,29 @@ class LogDensity:
     log_likelihood: float
     bits_per_dim: float
     dims: int
+
+
+@dataclass(frozen=True)
+class ScoreReport:
+    """One image's anomaly score, its value per level (key 0 is a pyramid's
+    residue) and the levels averaged into it.  A pixel flow has no levels."""
+
+    per_level: dict[int, float]
+    scoring_levels: tuple[int, ...]
+    score: float
+
+
+def checked_images(images, shape: tuple[int, ...]) -> np.ndarray:
+    """A (N,) + ``shape`` batch as float64, rejected unless its values are
+    finite and lie in [0, 1]."""
+    images = np.asarray(images, dtype=np.float64)
+    if images.ndim != 4 or images.shape[1:] != shape:
+        raise ValueError(f"expected images of shape (N, {', '.join(map(str, shape))}), got {images.shape}")
+    if not np.all(np.isfinite(images)):
+        raise ValueError("image contains non-finite values")
+    if images.min() < 0.0 or images.max() > 1.0:
+        raise ValueError("image values must lie in [0, 1]")
+    return images
 
 
 def bits_per_dim(log_prob, dims: int):
@@ -365,6 +394,15 @@ class FlowModel:
             lp = self.log_prob_graph(x[None], None if cond is None else np.asarray(cond)[None])
         log_likelihood, dims = float(lp.data[0]), int(np.prod(self.input_shape))
         return LogDensity(log_likelihood, bits_per_dim(log_likelihood, dims), dims)
+
+    def score_batch(self, images: np.ndarray) -> list[ScoreReport]:
+        """One report per image of a (N,C,H,W) batch: its bits/dim, with no
+        levels.  Images must be finite and lie in [0, 1]."""
+        images = checked_images(images, self.input_shape)
+        with ad.no_grad():
+            log_prob = self.log_prob_graph(images).data
+        bpd = bits_per_dim(log_prob, int(np.prod(self.input_shape)))
+        return [ScoreReport(per_level={}, scoring_levels=(), score=float(b)) for b in bpd]
 
     def inverse_from_latents(
         self, latents: list[np.ndarray], cond: np.ndarray | None = None

@@ -7,7 +7,8 @@ flow (no squeeze/split inside a level); the 1x1 residue gets a Gaussian
 with learned mean and variance.  The OOD score of an image is the mean
 bits-per-dimension over the levels whose detail grids are at least 4x4:
 coarser levels stay in the report for diagnostics but are too small to
-score reliably.
+score reliably.  Scores are ``ScoreReport``s, the report every detector
+returns, with bits/dim per level.
 
 Each factor trains on its own: ``components()`` lists them in training
 order and ``component_inputs`` gives each one's (inputs, condition).
@@ -29,18 +30,16 @@ released level by level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .flows import FlowModel, bits_per_dim, build_glow
+from .flows import FlowModel, ScoreReport, bits_per_dim, build_glow, checked_images
 from .haar import HaarLevel, build_pyramid, haar_inverse
 
 __all__ = [
     "MIN_SCORING_SIZE",
     "GaussianBase",
-    "LikelihoodReport",
     "WaveletFlowModel",
     "build_waveletflow",
 ]
@@ -85,15 +84,6 @@ class GaussianBase:
         return self.mean.data + temperature * std * rng.standard_normal(self.input_shape)
 
 
-@dataclass(frozen=True)
-class LikelihoodReport:
-    """Per-level bits/dim (key 0 is the base residue) and the averaged score."""
-
-    per_level_bpd: dict[int, float]
-    scoring_levels: tuple[int, ...]
-    score: float
-
-
 class WaveletFlowModel:
     """One conditional coupling flow per pyramid level plus the residue model."""
 
@@ -136,22 +126,14 @@ class WaveletFlowModel:
         levels = {f"level{lvl.level_index}": (lvl.detail, lvl.low) for lvl in pyramid.levels}
         return {"base": (pyramid.base, None)} | levels
 
-    def score(self, image: np.ndarray) -> LikelihoodReport:
+    def score(self, image: np.ndarray) -> ScoreReport:
         """Report for one (1,S,S) image: ``score_batch`` at N=1."""
         return self.score_batch(np.asarray(image)[None])[0]
 
-    def score_batch(self, images: np.ndarray) -> list[LikelihoodReport]:
+    def score_batch(self, images: np.ndarray) -> list[ScoreReport]:
         """One report per image of a (N,1,S,S) batch, equal to scoring each
         image alone.  Images must be finite and lie in [0, 1]."""
-        images = np.asarray(images, dtype=np.float64)
-        if images.ndim != 4 or images.shape[1:] != (1, self.image_size, self.image_size):
-            raise ValueError(
-                f"expected images of shape (N, 1, {self.image_size}, {self.image_size}), got {images.shape}"
-            )
-        if not np.all(np.isfinite(images)):
-            raise ValueError("image contains non-finite values")
-        if images.min() < 0.0 or images.max() > 1.0:
-            raise ValueError("image values must lie in [0, 1]")
+        images = checked_images(images, (1, self.image_size, self.image_size))
         scoring = self.scoring_levels()
         if not scoring:
             raise ValueError(
@@ -167,7 +149,7 @@ class WaveletFlowModel:
         for n in range(len(images)):
             bpd = {level: float(values[n]) for level, values in per_level.items()}
             score = float(np.mean([bpd[level] for level in scoring]))
-            reports.append(LikelihoodReport(per_level_bpd=bpd, scoring_levels=scoring, score=score))
+            reports.append(ScoreReport(per_level=bpd, scoring_levels=scoring, score=score))
         return reports
 
     def sample(self, rng: np.random.Generator, temperature: float = 1.0) -> np.ndarray:

@@ -59,3 +59,5 @@ def test_benchmark_score_fn_scores_both_families(family, monkeypatch):
     )
     assert isinstance(value, float) and math.isfinite(value)
     assert value == expected
+    # The benchmark's per-image path and the CLI's batch path agree.
+    assert value == model.score_batch(x[None])[0].score

@@ -68,7 +68,7 @@ class TestRoundTrip:
         a = wavelet_model.score(img)
         b = loaded.score(img)
         assert a.score == b.score
-        assert a.per_level_bpd == b.per_level_bpd
+        assert a.per_level == b.per_level
 
     def test_architecture_fields_survive(self, wavelet_model, tmp_path):
         path = tmp_path / "wf.ckpt"

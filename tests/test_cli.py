@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +12,18 @@ import pytest
 from waveflow import cli
 from waveflow.checkpoint import load_checkpoint
 from waveflow.cli import main
-from waveflow.data import load_image, read_manifest
+from waveflow.data import (
+    DatasetManifest,
+    ManifestRecord,
+    load_image,
+    read_manifest,
+    save_image,
+    write_manifest,
+)
 from waveflow.flows import FlowModel
 from waveflow.waveletflow import WaveletFlowModel
+
+DATA = Path(__file__).resolve().parent / "data"
 
 SYNTH_CFG = """
     [run]
@@ -222,7 +232,7 @@ class TestScore:
         for row, rec in zip(rows, records):
             report = model.score(load_image(manifest.image_path(rec)))
             assert float(row["score"]) == report.score
-            for level, bpd in report.per_level_bpd.items():
+            for level, bpd in report.per_level.items():
                 assert float(row[f"level_{level}"]) == bpd
 
     def test_glow_scores_equal_log_density(self, pipeline, tmp_path):
@@ -254,7 +264,7 @@ class TestScore:
             image = load_image(manifest.image_path(rec))
             assert float(row["score"]) == model.log_density(image).bits_per_dim
 
-    def test_checkpoint_data_mismatch(self, pipeline, tmp_path):
+    def test_checkpoint_data_mismatch(self, pipeline, tmp_path, capsys):
         other = tmp_path / "tiny"
         cfg = write_cfg(
             tmp_path / "mini.ini",
@@ -263,14 +273,19 @@ class TestScore:
             out=other,
         )
         assert run_cli("synth", "--config", cfg) == 0
-        cfg = write_cfg(
-            tmp_path / "s.ini",
-            "[run]\nout = {out}\n[score]\ndataset = {dataset}\ncheckpoint = {ckpt}\n",
-            out=tmp_path / "o",
-            dataset=other,
-            ckpt=pipeline["run"] / "checkpoint.json",
-        )
-        assert run_cli("score", "--config", cfg) == 1
+        capsys.readouterr()
+        # A 16 px WaveletFlow and the stored 4 px Glow, each on 8 px images.
+        for ckpt in (pipeline["run"] / "checkpoint.json", DATA / "glow_4px.json"):
+            cfg = write_cfg(
+                tmp_path / "s.ini",
+                "[run]\nout = {out}\n[score]\ndataset = {dataset}\ncheckpoint = {ckpt}\n",
+                out=tmp_path / "o",
+                dataset=other,
+                ckpt=ckpt,
+            )
+            assert run_cli("score", "--config", cfg) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestEval:
@@ -405,6 +420,29 @@ class TestErrors:
         assert run_cli("synth", "--config", str(cfg)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["score", "baseline"])
+    def test_mixed_image_sizes_name_the_image(self, pipeline, tmp_path, capsys, command):
+        # Two 16 px images, then one 8 px image, in one test split.
+        data = tmp_path / "mixed"
+        (data / "images").mkdir(parents=True)
+        records = []
+        for name, label, size in (("a", "in_dist", 16), ("b", "ood", 16), ("small", "ood", 8)):
+            save_image(np.full((1, size, size), 0.5), data / "images" / f"{name}.pgm")
+            records.append(ManifestRecord(f"images/{name}.pgm", label, "test"))
+        write_manifest(DatasetManifest(records=tuple(records)), data / "manifest.csv")
+        cfg = write_cfg(
+            tmp_path / "m.ini",
+            "[run]\nout = {out}\n[" + command + "]\ndataset = {dataset}\n"
+            + ("checkpoint = {ckpt}\n" if command == "score" else ""),
+            out=tmp_path / "o",
+            dataset=data,
+            ckpt=pipeline["run"] / "checkpoint.json",
+        )
+        assert run_cli(command, "--config", cfg) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "images/small.pgm" in err
 
     def test_missing_dataset_exits_1(self, tmp_path, capsys):
         cfg = write_cfg(

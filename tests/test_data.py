@@ -244,16 +244,18 @@ class TestGenerator:
         assert e_ood >= 2.0 * e_in
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="image_size"):
-            dataclasses.replace(SMALL, image_size=2).validate()
+        for image_size in (2, 12):
+            with pytest.raises(ValueError, match="image_size"):
+                dataclasses.replace(SMALL, image_size=image_size).validate()
         with pytest.raises(ValueError, match="radius"):
             dataclasses.replace(
                 SMALL, in_dist=dataclasses.replace(SMALL.in_dist, radius=(0.3, 0.2))
             ).validate()
         with pytest.raises(ValueError, match="brightness"):
             dataclasses.replace(SMALL, brightness=(0.5, 1.4)).validate()
-        with pytest.raises(ValueError, match="train_in_dist"):
-            dataclasses.replace(SMALL, train_in_dist=-1).validate()
+        for count in (-1, 0):
+            with pytest.raises(ValueError, match="train_in_dist"):
+                dataclasses.replace(SMALL, train_in_dist=count).validate()
 
     def test_load_split_missing_selection(self, tmp_path):
         manifest = generate_synthetic(SMALL, tmp_path / "d")

@@ -146,10 +146,10 @@ class TestWaveletMagnitude:
         pyramid = build_pyramid(img)
         for lvl in pyramid.levels:
             expected = float(np.mean(np.abs(lvl.detail)))
-            assert report.per_level_magnitude[lvl.level_index] == expected
+            assert report.per_level[lvl.level_index] == expected
         assert report.scoring_levels == (3, 4)  # sizes 4 and 8 for a 16 px image
         expected_score = np.mean(
-            [report.per_level_magnitude[l] for l in report.scoring_levels]
+            [report.per_level[l] for l in report.scoring_levels]
         )
         assert report.score == pytest.approx(expected_score, abs=1e-15)
 

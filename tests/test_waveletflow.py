@@ -18,6 +18,24 @@ from waveflow.waveletflow import GaussianBase, build_waveletflow
 LOG_2PI = math.log(2.0 * math.pi)
 
 
+# Both model families score a (N,1,S,S) batch with score_batch; the
+# scoring tests run each check on one model of each.
+SCORERS = {
+    "waveletflow": lambda size, seed=0: build_waveletflow(
+        image_size=size, steps_per_level=2, hidden=6, seed=seed
+    ),
+    "glow": lambda size, seed=0: build_glow(K=2, L=2, in_channels=1, image_size=size, hidden=6, seed=seed),
+}
+
+# Each family's single-image score, and its report's levels at 16 px:
+# (every level in per_level, scoring_levels).  A pixel flow has none.
+SINGLE_SCORE = {
+    "waveletflow": lambda model, image: model.score(image).score,
+    "glow": lambda model, image: model.log_density(image).bits_per_dim,
+}
+LEVELS_AT_16 = {"waveletflow": ((0, 1, 2, 3, 4), (3, 4)), "glow": ((), ())}
+
+
 def stdnormal_bpd(x: np.ndarray) -> float:
     nll = 0.5 * np.sum(x * x) + 0.5 * LOG_2PI * x.size
     return float(nll / (x.size * math.log(2.0)))
@@ -90,10 +108,10 @@ class TestScoring:
         image = np.random.default_rng(2).random((1, 16, 16))
         report = model.score(image)
         assert report.scoring_levels == (3, 4)
-        expected = np.mean([report.per_level_bpd[3], report.per_level_bpd[4]])
+        expected = np.mean([report.per_level[3], report.per_level[4]])
         np.testing.assert_allclose(report.score, expected, rtol=1e-12)
         # every level plus the base stays in the report for diagnostics
-        assert sorted(report.per_level_bpd) == [0, 1, 2, 3, 4]
+        assert sorted(report.per_level) == [0, 1, 2, 3, 4]
 
     def test_scorer_consumes_exactly_the_pyramid_coefficients(self):
         model = build_waveletflow(image_size=16, steps_per_level=1, hidden=4)
@@ -113,14 +131,15 @@ class TestScoring:
             assert digest(low) == digest(level.low)
 
     def test_out_of_range_image_rejected(self):
-        model = build_waveletflow(image_size=8, steps_per_level=1, hidden=4)
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            model.score(np.full((1, 8, 8), 1.5))
+        for build in SCORERS.values():
+            for value in (-0.5, 1.5):
+                with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                    build(8).score_batch(np.full((1, 1, 8, 8), value))
 
     def test_wrong_size_rejected(self):
-        model = build_waveletflow(image_size=8, steps_per_level=1, hidden=4)
-        with pytest.raises(ValueError, match="shape"):
-            model.score(np.zeros((1, 16, 16)))
+        for build in SCORERS.values():
+            with pytest.raises(ValueError, match="shape"):
+                build(8).score_batch(np.zeros((1, 1, 16, 16)))
 
     def test_size_4_has_no_scoring_level(self):
         model = build_waveletflow(image_size=4, steps_per_level=1, hidden=4)
@@ -128,33 +147,36 @@ class TestScoring:
             model.score(np.zeros((1, 4, 4)))
 
     def test_score_batch_equals_per_image_score(self):
-        model = build_waveletflow(image_size=16, steps_per_level=2, hidden=6, seed=3)
-        rng = np.random.default_rng(11)
-        for p in model.parameters():
-            p.data += rng.normal(0.0, 0.05, size=p.data.shape)
-        images = rng.random((5, 1, 16, 16))
-        reports = model.score_batch(images)
-        assert len(reports) == 5
-        for image, report in zip(images, reports):
-            single = model.score(image)
-            assert report.score == single.score
-            assert report.per_level_bpd == single.per_level_bpd
-            assert report.scoring_levels == single.scoring_levels
+        for family, build in SCORERS.items():
+            model = build(16, seed=3)
+            rng = np.random.default_rng(11)
+            for p in model.parameters():
+                p.data += rng.normal(0.0, 0.05, size=p.data.shape)
+            images = rng.random((5, 1, 16, 16))
+            reports = model.score_batch(images)
+            assert len(reports) == 5
+            for image, report in zip(images, reports):
+                single = model.score_batch(image[None])[0]
+                assert report.score == single.score == SINGLE_SCORE[family](model, image)
+                assert report.per_level == single.per_level
+                assert report.scoring_levels == single.scoring_levels
+                assert (tuple(sorted(report.per_level)), report.scoring_levels) == LEVELS_AT_16[family]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_image_rejected_before_any_layer(self, bad):
-        model = build_waveletflow(image_size=8, steps_per_level=1, hidden=4)
         images = np.full((2, 1, 8, 8), 0.5)
         images[1, 0, 3, 4] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            model.score_batch(images)
-        with pytest.raises(ValueError, match="non-finite"):
-            model.score(images[1])
+        for family, build in SCORERS.items():
+            model = build(8)
+            with pytest.raises(ValueError, match="non-finite"):
+                model.score_batch(images)
+            with pytest.raises(ValueError, match="non-finite"):
+                SINGLE_SCORE[family](model, images[1])
 
     def test_wrong_batch_rank_rejected(self):
-        model = build_waveletflow(image_size=8, steps_per_level=1, hidden=4)
-        with pytest.raises(ValueError, match="shape"):
-            model.score_batch(np.zeros((1, 8, 8)))
+        for build in SCORERS.values():
+            with pytest.raises(ValueError, match="shape"):
+                build(8).score_batch(np.zeros((1, 8, 8)))
 
     def test_gradients_match_finite_differences_after_scoring(self):
         model = build_waveletflow(image_size=8, steps_per_level=1, hidden=4, seed=5)
@@ -250,10 +272,10 @@ class TestIndependence:
     def test_perturbing_one_level_leaves_others_unchanged(self):
         model = build_waveletflow(image_size=16, steps_per_level=1, hidden=4)
         image = np.random.default_rng(4).random((1, 16, 16))
-        before = model.score(image).per_level_bpd
+        before = model.score(image).per_level
         for p in model.level_flows[4].parameters():
             p.data += 0.05
-        after = model.score(image).per_level_bpd
+        after = model.score(image).per_level
         assert after[4] != before[4]
         for level in (0, 1, 2, 3):
             assert after[level] == before[level]  # bit-identical
