@@ -31,6 +31,7 @@ from .data import (
     load_split,
     read_manifest,
     save_image,
+    stack_images,
 )
 from .evaluate import auc, metrics_json, summarize, wavelet_magnitude_score
 from .flows import build_glow
@@ -224,12 +225,9 @@ def _score_split(cfg: ResolvedConfig, command: str, detector) -> list[dict]:
     rows, shape = [], None
     for lo in range(0, len(records), SCORE_CHUNK):
         chunk = records[lo : lo + SCORE_CHUNK]
-        images = [load_image(manifest.image_path(rec)) for rec in chunk]
-        shape = shape or images[0].shape
-        for rec, image in zip(chunk, images):
-            if image.shape != shape:
-                raise ValueError(f"{rec.path}: shape {image.shape} differs from the first image's {shape}")
-        for rec, report in zip(chunk, detector(np.stack(images))):
+        images = stack_images(chunk, [load_image(manifest.image_path(rec)) for rec in chunk], shape)
+        shape = images.shape[1:]
+        for rec, report in zip(chunk, detector(images)):
             row = {"path": rec.path, "label": rec.label, "score": report.score}
             for level, value in sorted(report.per_level.items()):
                 row[f"level_{level}"] = value

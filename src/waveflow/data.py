@@ -40,6 +40,7 @@ __all__ = [
     "render_image",
     "generate_synthetic",
     "load_split",
+    "stack_images",
 ]
 
 LABELS = ("in_dist", "ood")
@@ -414,5 +415,20 @@ def load_split(
     records = manifest.select(split=split, label=label)
     if not records:
         raise ManifestError(f"no records with split={split!r}, label={label!r}")
-    images = np.stack([load_image(manifest.image_path(rec)) for rec in records])
+    images = stack_images(records, [load_image(manifest.image_path(rec)) for rec in records])
     return images, records
+
+
+def stack_images(
+    records: list[ManifestRecord], images: list[np.ndarray], shape: tuple[int, ...] | None = None
+) -> np.ndarray:
+    """Stack the images loaded for ``records`` into one (N,1,S,S) array.
+
+    Every image must have ``shape`` (by default the first image's); the
+    error names the manifest path of the first image that differs.
+    """
+    shape = shape or images[0].shape
+    for rec, image in zip(records, images):
+        if image.shape != shape:
+            raise ManifestError(f"{rec.path}: shape {image.shape} differs from the first image's {shape}")
+    return np.stack(images)

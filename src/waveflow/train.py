@@ -10,7 +10,9 @@ parameters are restored.  A non-finite loss or post-epoch monitored NLL,
 or a ``FlowNumericsError`` from either, aborts the component with the best
 parameters seen so far.  ``model.component_inputs`` splits each batch (one
 Haar pyramid per batch) and the clean set, once per ``train`` call.  The
-monitored NLL and actnorm initialization run without an autodiff graph.
+monitored NLL and actnorm initialization run without an autodiff graph;
+the monitored NLL runs over the clean set in ``batch_size`` chunks, and
+since every op is per sample it equals the whole-set value bit for bit.
 """
 from __future__ import annotations
 
@@ -214,9 +216,16 @@ def _train_component(
     dims = int(np.prod(part.input_shape))
 
     def clean_nll() -> float:
+        # Every op is per sample, so batch-sized chunks give the whole-set
+        # value bit for bit without the whole set's im2col columns at once.
+        x, cond = clean
+        step = config.batch_size
         with ad.no_grad():
-            lp = part.log_prob_graph(*clean)
-        return -float(np.mean(lp.data))
+            lp = [
+                part.log_prob_graph(x[lo : lo + step], None if cond is None else cond[lo : lo + step]).data
+                for lo in range(0, len(x), step)
+            ]
+        return -float(np.mean(np.concatenate(lp)))
 
     def record(epoch: int, nll: float) -> EpochRecord:
         return EpochRecord(epoch, nll, nll / (dims * _LN2), time.perf_counter() - start)

@@ -3,6 +3,7 @@ central finite differences."""
 from __future__ import annotations
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,37 @@ def conv2d_reference(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
                                 acc += x[c, ii, jj] * w[o, c, ki, kj]
                 out[o, i, j] = acc
     return out
+
+
+def padded_conv2d_reference(x, w, b, g):
+    """Pad-then-gather 3x3 convolution, forward and backward (bit-exact oracle).
+
+    The columns are gathered from a zero-padded copy of ``x``, and the input
+    gradient is scattered into a padded buffer and cropped.  Returns the
+    output and the gradients of sum(out * g) for ``x``, ``w`` and ``b``.
+    """
+    N, C, H, W = x.shape
+    cout = w.shape[0]
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    cols = np.empty((N, 9 * C, H * W))
+    k = 0
+    for di in range(3):
+        for dj in range(3):
+            cols[:, k * C : (k + 1) * C, :] = xp[:, :, di : di + H, dj : dj + W].reshape(N, C, H * W)
+            k += 1
+    wf = w.transpose(0, 2, 3, 1).reshape(cout, 9 * C)
+    out = np.matmul(wf, cols).reshape(N, cout, H, W) + b.reshape(1, cout, 1, 1)
+    gflat = g.reshape(N, cout, H * W)
+    db = gflat.sum(axis=(0, 2))
+    dw = np.matmul(gflat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(cout, 3, 3, C).transpose(0, 3, 1, 2)
+    dcols = np.matmul(wf.T, gflat)
+    gxp = np.zeros_like(xp)
+    k = 0
+    for di in range(3):
+        for dj in range(3):
+            gxp[:, :, di : di + H, dj : dj + W] += dcols[:, k * C : (k + 1) * C, :].reshape(N, C, H, W)
+            k += 1
+    return out, gxp[:, :, 1 : 1 + H, 1 : 1 + W], dw, db
 
 
 def rel_err(a: np.ndarray, f: np.ndarray) -> float:
@@ -61,6 +93,43 @@ class TestConv2d:
         for n in range(4):
             single = ad.conv2d(ad.Tensor(xs[n : n + 1]), ad.Tensor(w), ad.Tensor(b)).data
             np.testing.assert_allclose(batched[n : n + 1], single, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("cin", [1, 4])
+    @pytest.mark.parametrize("hw", [(1, 1), (2, 2), (4, 4), (16, 16), (3, 5)])
+    def test_bit_equal_to_padded_reference(self, n, cin, hw):
+        # 1x1 is level1 of a 32 px pyramid: every tap but the centre reads padding.
+        rng = np.random.default_rng(n * 100 + cin * 10 + hw[0])
+        x = ad.Parameter("x", rng.standard_normal((n, cin) + hw))
+        w = ad.Parameter("w", rng.standard_normal((3, cin, 3, 3)))
+        b = ad.Parameter("b", rng.standard_normal(3))
+        g = rng.standard_normal((n, 3) + hw)
+        out = ad.conv2d(x, w, b)
+        ad.reduce_sum(ad.mul(out, ad.Tensor(g))).backward()
+        want = padded_conv2d_reference(x.data, w.data, b.data, g)
+        for name, got, ref in zip(("out", "dx", "dW", "db"), (out.data, x.grad, w.grad, b.grad), want):
+            assert np.array_equal(got, ref), name
+
+    def test_graph_keeps_only_the_columns(self):
+        # The backward closure holds the (N, 9C, HW) columns and the flat
+        # kernel, and no padded copy of the input.
+        n, cin, cout, size = 4, 8, 8, 16
+        rng = np.random.default_rng(11)
+        x = ad.Parameter("x", rng.standard_normal((n, cin, size, size)))
+        w = ad.Parameter("w", rng.standard_normal((cout, cin, 3, 3)))
+        b = ad.Parameter("b", rng.standard_normal(cout))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ad.conv2d(x, w, b)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        cols_nbytes = n * 9 * cin * size * size * 8
+        padded_nbytes = n * cin * (size + 2) ** 2 * 8
+        slack = 16 * 1024  # the flat kernel (4.6 kB) and the node's Python objects
+        assert slack < padded_nbytes
+        assert kept <= cols_nbytes + out.data.nbytes + slack
 
     def test_single_image_rank_rejected(self):
         x = ad.Tensor(np.zeros((2, 4, 4)))

@@ -421,16 +421,21 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("command", ["score", "baseline"])
-    def test_mixed_image_sizes_name_the_image(self, pipeline, tmp_path, capsys, command):
-        # Two 16 px images, then one 8 px image, in one test split.
-        data = tmp_path / "mixed"
+    @staticmethod
+    def _mixed_sizes(data, split):
+        """Two 16 px images, then one 8 px image, in one split."""
         (data / "images").mkdir(parents=True)
         records = []
-        for name, label, size in (("a", "in_dist", 16), ("b", "ood", 16), ("small", "ood", 8)):
+        for name, size in (("a", 16), ("b", 16), ("small", 8)):
+            label = "ood" if split == "test" and name != "a" else "in_dist"
             save_image(np.full((1, size, size), 0.5), data / "images" / f"{name}.pgm")
-            records.append(ManifestRecord(f"images/{name}.pgm", label, "test"))
+            records.append(ManifestRecord(f"images/{name}.pgm", label, split))
         write_manifest(DatasetManifest(records=tuple(records)), data / "manifest.csv")
+        return data
+
+    @pytest.mark.parametrize("command", ["score", "baseline"])
+    def test_mixed_image_sizes_name_the_image(self, pipeline, tmp_path, capsys, command):
+        data = self._mixed_sizes(tmp_path / "mixed", "test")
         cfg = write_cfg(
             tmp_path / "m.ini",
             "[run]\nout = {out}\n[" + command + "]\ndataset = {dataset}\n"
@@ -440,6 +445,14 @@ class TestErrors:
             ckpt=pipeline["run"] / "checkpoint.json",
         )
         assert run_cli(command, "--config", cfg) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "images/small.pgm" in err
+
+    def test_mixed_train_image_sizes_name_the_image(self, tmp_path, capsys):
+        data = self._mixed_sizes(tmp_path / "mixed", "train")
+        cfg = write_cfg(tmp_path / "t.ini", TRAIN_CFG, out=tmp_path / "o", dataset=data)
+        assert run_cli("train", "--config", cfg) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "images/small.pgm" in err

@@ -261,3 +261,12 @@ class TestGenerator:
         manifest = generate_synthetic(SMALL, tmp_path / "d")
         with pytest.raises(ManifestError, match="no records"):
             load_split(manifest, "train", label="ood")
+
+    def test_load_split_names_the_first_image_of_another_size(self, tmp_path):
+        records = []
+        for name, size in (("a", 16), ("small", 8), ("b", 16), ("tiny", 4)):
+            save_image(np.full((1, size, size), 0.25), tmp_path / f"{name}.pgm")
+            records.append(ManifestRecord(f"{name}.pgm", "in_dist", "train"))
+        manifest = DatasetManifest(records=tuple(records), root=str(tmp_path))
+        with pytest.raises(ManifestError, match=r"^small\.pgm: shape \(1, 8, 8\) differs"):
+            load_split(manifest, "train")

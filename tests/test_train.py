@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -183,6 +184,12 @@ class StubPart:
         return self.log_prob(x, cond)
 
 
+def monitoring() -> bool:
+    """True inside the monitored clean-set pass, which runs under ``ad.no_grad``
+    in chunks of ``batch_size``; a training step runs with the graph on."""
+    return not ad._grad_mode.enabled
+
+
 class TestComponentLoop:
     def _run(self, log_prob, param, n_images=8):
         images = np.zeros((n_images, 1, 2, 2))
@@ -197,27 +204,29 @@ class TestComponentLoop:
         )
 
     def test_abort_on_non_finite_loss(self):
-        calls = {"n": 0}
+        steps = {"n": 0}
         param = ad.Parameter("w", np.array([1.5]))
 
         def log_prob(x, cond):
-            calls["n"] += 1
-            value = -1.0 if calls["n"] == 1 else np.nan
-            return ad.Tensor(np.full(len(x), value))
+            if monitoring():
+                return ad.Tensor(np.full(len(x), -1.0))
+            steps["n"] += 1
+            return ad.Tensor(np.full(len(x), np.nan))
 
         history = self._run(log_prob, param)
         assert history.aborted
         assert history.best_epoch == 0
         assert len(history.records) == 1
         assert param.data[0] == 1.5  # snapshot of the best (initial) state restored
+        # the NaN came from the first training step, not the monitored NLL
+        assert steps["n"] == 1
+        assert history.records[0].nll == 1.0
 
     def test_abort_on_numerics_error(self):
-        calls = {"n": 0}
         param = ad.Parameter("w", np.array([2.5]))
 
         def log_prob(x, cond):
-            calls["n"] += 1
-            if calls["n"] > 1:
+            if not monitoring():  # every training step
                 raise FlowNumericsError(7)
             return ad.Tensor(np.full(len(x), -1.0))
 
@@ -228,11 +237,14 @@ class TestComponentLoop:
 
     def test_abort_on_numerics_error_in_monitored_nll(self):
         clean_passes = {"n": 0}
+        monitored = {"images": 0}
         param = ad.Parameter("w", np.array([3.5]))
 
         def log_prob(x, cond):
-            if len(x) == 8:  # the whole clean set, not a batch of 4
-                clean_passes["n"] += 1
+            if monitoring():  # a chunk of the clean set; a pass covers all 8 images
+                if monitored["images"] % 8 == 0:
+                    clean_passes["n"] += 1
+                monitored["images"] += len(x)
                 if clean_passes["n"] == 2:
                     raise FlowNumericsError(3)
             return ad.mul(ad.Tensor(np.full(len(x), -1.0)), param)
@@ -249,15 +261,50 @@ class TestComponentLoop:
         param = ad.Parameter("w", np.array([0.0]))
 
         def log_prob(x, cond):
-            calls.append(len(x))
+            calls.append((monitoring(), len(x)))
             return ad.Tensor(np.full(len(x), -2.0))
 
         history = self._run(log_prob, param)
-        # first call sees the whole clean set, later calls see batches
-        assert calls[0] == 8
+        # the first calls are the monitored pass over the whole clean set, in
+        # batch-sized chunks; the training batches follow
+        first_pass = list(itertools.takewhile(lambda call: call[0], calls))
+        assert [n for _, n in first_pass] == [4, 4]
+        assert calls[len(first_pass)] == (False, 4)
         assert history.records[0].epoch == 0
         assert history.records[0].nll == 2.0
         assert history.records[0].bpd == pytest.approx(2.0 / (4 * math.log(2)))
+
+
+class TestMonitoredNll:
+    @pytest.mark.parametrize("family", ["waveletflow", "glow"])
+    def test_chunked_pass_equals_whole_set(self, family):
+        # 10 images in chunks of 4: the last chunk is ragged.
+        images = make_blobs(10, 16, seed=6)
+        if family == "waveletflow":
+            model = build_waveletflow(image_size=16, steps_per_level=2, hidden=6, seed=1)
+            name = "level4"  # a conditional level flow on 8x8 details
+        else:
+            model = build_glow(K=2, L=2, in_channels=1, image_size=16, hidden=6, seed=1)
+            name = "flow"
+        part = model.components()[name]
+        clean = model.component_inputs(images)[name]
+        part.initialize_actnorm(*clean)
+        rng = np.random.default_rng(2)
+        for p in part.parameters():  # move off the identity initialization
+            p.data += 0.05 * rng.standard_normal(p.data.shape)
+        whole = -np.mean(part.log_prob_graph(*clean).data)
+        history = _train_component(
+            part,
+            inputs=lambda batch: model.component_inputs(batch)[name],
+            images=images,
+            clean=clean,
+            config=TrainConfig(batch_size=4, max_epochs=1, augment=None, seed=0),
+            rng=np.random.default_rng(0),
+        )
+        assert history.records[0].nll == whole
+        # the restored best parameters reproduce the best epoch's value
+        best = history.records[history.best_epoch].nll
+        assert -np.mean(part.log_prob_graph(*clean).data) == best
 
 
 class TestGlowTraining:
