@@ -9,10 +9,11 @@ shapes or a scalar on one side, nothing else, and every image operation
 (convolution, channel and squeeze rearrangements) takes a (N,C,H,W)
 batch; a single image is a batch with N=1.
 
-The convolution gathers its im2col columns with one copy per 3x3 tap
-straight from the unpadded input, zeroing only the border strips a tap
-reads as padding; there is no padded copy, and its graph node keeps only
-the columns and the flat kernel for the backward pass.
+The convolution copies its input once into a zero-padded buffer and
+gathers the im2col columns from a strided view of it in one more copy;
+the buffer is freed at once, and the graph node keeps only the columns and
+the flat kernel for the backward pass, which scatters the column gradient
+back through a padded buffer in the same tap order.
 
 Inside ``with no_grad():`` the calling thread builds no graph: each new
 tensor keeps its value but no parents and no backward closure, so an
@@ -375,41 +376,29 @@ def unsqueeze2x2(a) -> Tensor:
     return Tensor(out, (a,), lambda g: (squeeze2x2_array(g),))
 
 
-def _tap(d: int, n: int) -> tuple[slice, slice]:
-    """Output and input ranges, along an axis of length ``n``, of the 3x3
-    tap at offset ``d``: output ``i`` reads input ``i + d - 1``."""
-    lo, hi = max(0, 1 - d), min(n, n + 1 - d)
-    return slice(lo, hi), slice(lo + d - 1, hi + d - 1)
-
-
 def _im2col(x: np.ndarray) -> np.ndarray:
     """Gather the same-padded 3x3 patches of (N,C,H,W) into (N, 9C, H*W).
 
-    Rows are ordered (di, dj, c).  Each tap is one copy from the unpadded
-    input into a (N,3,3,C,H,W) buffer; only the border strip that a tap
-    reads from the padding is zeroed.
+    Rows are ordered (di, dj, c).  ``x`` is copied once into the interior
+    of a zero (N,C,H+2,W+2) buffer; the (N,3,3,C,H,W) tap view of that
+    buffer is taken by strides, and one reshape copies it into the columns.
+    The buffer is freed on return.
     """
     N, C, H, W = x.shape
-    cols = np.empty((N, 3, 3, C, H, W), dtype=np.float64)
-    for di in range(3):
-        rows_out, rows_in = _tap(di, H)
-        for dj in range(3):
-            cols_out, cols_in = _tap(dj, W)
-            patch = cols[:, di, dj]
-            patch[:, :, rows_out, cols_out] = x[:, :, rows_in, cols_in]
-            if di != 1:
-                patch[:, :, 0 if di == 0 else H - 1] = 0.0
-            if dj != 1:
-                patch[:, :, :, 0 if dj == 0 else W - 1] = 0.0
-    return cols.reshape(N, 9 * C, H * W)
+    padded = np.zeros((N, C, H + 2, W + 2))
+    padded[:, :, 1:-1, 1:-1] = x
+    sn, sc, sh, sw = padded.strides
+    # taps[n, di, dj, c, i, j] is padded[n, c, i + di, j + dj]; never written.
+    taps = np.ndarray((N, 3, 3, C, H, W), np.float64, padded, 0, (sn, sh, sw, sc, sh, sw))
+    return taps.reshape(N, 9 * C, H * W)
 
 
 def conv2d(x, weight, bias) -> Tensor:
     """3x3 cross-correlation with same zero padding and stride 1.
 
     ``x`` is (N,C,H,W); ``weight`` is (C_out, C_in, 3, 3); ``bias`` is (C_out,).
-    The columns are gathered without a padded copy of ``x``, and the graph
-    keeps only the columns and the flat kernel for the backward pass.
+    The padded copy of ``x`` lives only while the columns are gathered;
+    the graph keeps the columns and the flat kernel for the backward pass.
     """
     x, weight, bias = _wrap(x), _wrap(weight), _wrap(bias)
     if weight.data.ndim != 4 or weight.data.shape[2:] != (3, 3):
@@ -434,13 +423,12 @@ def conv2d(x, weight, bias) -> Tensor:
         dwf = np.matmul(gflat, cols.transpose(0, 2, 1)).sum(axis=0)  # (Cout, 9Cin)
         dweight = dwf.reshape(Cout, 3, 3, Cin).transpose(0, 3, 1, 2)
         dcols = np.matmul(wf.T, gflat).reshape(N, 3, 3, Cin, H, W)
-        gx = np.zeros((N, Cin, H, W))
+        # Scatter each tap back into a padded buffer, then drop the border.
+        gx = np.zeros((N, Cin, H + 2, W + 2))
         for di in range(3):
-            rows_out, rows_in = _tap(di, H)
             for dj in range(3):
-                cols_out, cols_in = _tap(dj, W)
-                gx[:, :, rows_in, cols_in] += dcols[:, di, dj, :, rows_out, cols_out]
-        return (gx, dweight, dbias)
+                gx[:, :, di : di + H, dj : dj + W] += dcols[:, di, dj]
+        return (gx[:, :, 1:-1, 1:-1], dweight, dbias)
 
     return Tensor(out, (x, weight, bias), back)
 

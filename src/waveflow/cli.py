@@ -174,6 +174,8 @@ def _read_scores(path: Path) -> list[dict]:
             fields = reader.fieldnames
     except OSError as exc:
         raise ValueError(f"cannot read score file {path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"score file {path} is not an ASCII CSV file: {exc}") from exc
     if not fields or not {"path", "label", "score"} <= set(fields):
         raise ValueError(f"no scores in {path}: expected a path,label,score header")
     if not raw_rows:

@@ -180,8 +180,11 @@ def write_manifest(manifest: DatasetManifest, path: str | os.PathLike) -> None:
 
 
 def read_manifest(path: str | os.PathLike) -> DatasetManifest:
-    with open(path, encoding="ascii", newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, encoding="ascii", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ManifestError(f"manifest {path} is not an ASCII CSV file: {exc}") from exc
     if not rows or rows[0] != ["path", "label", "split"]:
         raise ManifestError(
             f"manifest must start with a 'path,label,split' header, got {rows[0] if rows else 'an empty file'}"

@@ -6,8 +6,9 @@ computed with midranks; the ROC sweep visits every distinct score as a
 threshold, so tied scores across classes show up as diagonal segments
 whose trapezoid area matches the rank AUC exactly.
 
-``wavelet_magnitude_score`` is a detector like the flows: it returns the
-same ``ScoreReport``, with the mean absolute detail coefficient per level.
+``wavelet_magnitude_score`` is a detector like the flows: it checks its
+image with the flows' ``checked_images`` and returns the same
+``ScoreReport``, with the mean absolute detail coefficient per level.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import json
 
 import numpy as np
 
-from .flows import ScoreReport
+from .flows import ScoreReport, checked_images
 from .haar import build_pyramid
 from .waveletflow import MIN_SCORING_SIZE
 
@@ -135,8 +136,12 @@ def summarize(id_scores, ood_scores, histogram_bins: int = 20) -> dict:
 
 def wavelet_magnitude_score(image: np.ndarray, levels: list[int] | None = None) -> ScoreReport:
     """Training-free detector: mean absolute detail coefficient per level,
-    averaged over the same levels the flow-based scorer uses."""
-    pyramid = build_pyramid(np.asarray(image, dtype=np.float64))
+    averaged over the same levels the flow-based scorer uses.  ``image`` is
+    one (C,S,S) image, checked as the flow detectors check theirs."""
+    image = np.asarray(image, dtype=np.float64)
+    if image.ndim != 3:
+        raise ValueError(f"expected one (C, S, S) image, got shape {image.shape}")
+    pyramid = build_pyramid(checked_images(image[None], image.shape)[0])
     magnitudes = {
         lvl.level_index: float(np.mean(np.abs(lvl.detail))) for lvl in pyramid.levels
     }

@@ -61,6 +61,21 @@ def padded_conv2d_reference(x, w, b, g):
     return out, gxp[:, :, 1 : 1 + H, 1 : 1 + W], dw, db
 
 
+def assert_conv_bit_equal(x, input_grad, rng, cout=3):
+    """conv2d of the tensor ``x`` equals ``padded_conv2d_reference`` bit for
+    bit: the output, dW, db, and the input gradient that ``input_grad()``
+    reads after the backward pass.  Draws the kernel, bias and output
+    gradient from ``rng`` in that order."""
+    w = ad.Parameter("w", rng.standard_normal((cout, x.shape[1], 3, 3)))
+    b = ad.Parameter("b", rng.standard_normal(cout))
+    g = rng.standard_normal((x.shape[0], cout) + x.shape[2:])
+    out = ad.conv2d(x, w, b)
+    ad.reduce_sum(ad.mul(out, ad.Tensor(g))).backward()
+    want = padded_conv2d_reference(x.data, w.data, b.data, g)
+    for name, got, ref in zip(("out", "dx", "dW", "db"), (out.data, input_grad(), w.grad, b.grad), want):
+        assert np.array_equal(got, ref), name
+
+
 def rel_err(a: np.ndarray, f: np.ndarray) -> float:
     denom = max(float(np.max(np.abs(f))), 1e-8)
     return float(np.max(np.abs(a - f))) / denom
@@ -101,14 +116,26 @@ class TestConv2d:
         # 1x1 is level1 of a 32 px pyramid: every tap but the centre reads padding.
         rng = np.random.default_rng(n * 100 + cin * 10 + hw[0])
         x = ad.Parameter("x", rng.standard_normal((n, cin) + hw))
-        w = ad.Parameter("w", rng.standard_normal((3, cin, 3, 3)))
-        b = ad.Parameter("b", rng.standard_normal(3))
-        g = rng.standard_normal((n, 3) + hw)
-        out = ad.conv2d(x, w, b)
-        ad.reduce_sum(ad.mul(out, ad.Tensor(g))).backward()
-        want = padded_conv2d_reference(x.data, w.data, b.data, g)
-        for name, got, ref in zip(("out", "dx", "dW", "db"), (out.data, x.grad, w.grad, b.grad), want):
-            assert np.array_equal(got, ref), name
+        assert_conv_bit_equal(x, lambda: x.grad, rng)
+
+    @pytest.mark.parametrize("case", ["channel-slice", "transposed", "score-chunk"])
+    def test_bit_equal_to_padded_reference_on_views_and_score_chunk(self, case):
+        rng = np.random.default_rng(5)
+        if case == "channel-slice":
+            # Glow's Split passes each half on as a slice_channels view.
+            full = ad.Parameter("x", rng.standard_normal((3, 8, 4, 4)))
+            x = ad.slice_channels(full, 4, 8)
+            assert not x.data.flags.c_contiguous
+            assert_conv_bit_equal(x, lambda: full.grad[:, 4:], rng)
+            assert not full.grad[:, :4].any()
+        elif case == "transposed":
+            x = ad.Parameter("x", rng.standard_normal((2, 4, 5, 3)).transpose(0, 1, 3, 2))
+            assert not x.data.flags.c_contiguous
+            assert_conv_bit_equal(x, lambda: x.grad, rng)
+        else:
+            # A chunk of waveflow score at a 16x16 level with hidden = 24.
+            x = ad.Parameter("x", rng.standard_normal((8, 24, 16, 16)))
+            assert_conv_bit_equal(x, lambda: x.grad, rng, cout=24)
 
     def test_graph_keeps_only_the_columns(self):
         # The backward closure holds the (N, 9C, HW) columns and the flat

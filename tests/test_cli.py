@@ -358,6 +358,21 @@ class TestEval:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "line 3" in err
 
+    @pytest.mark.parametrize("bad", [b"\xe9", b"x" * 140_000], ids=["non-ascii", "oversized-field"])
+    def test_unreadable_scores_file_names_the_file(self, tmp_path, capsys, bad):
+        scores = tmp_path / "scores.csv"
+        scores.write_bytes(b"path,label,score\nb.pgm,ood,2.0\na" + bad + b".pgm,in_dist,1.0\n")
+        cfg = write_cfg(
+            tmp_path / "e.ini",
+            "[run]\nout = {out}\n[eval]\nscores = {scores}\n",
+            out=tmp_path / "o",
+            scores=scores,
+        )
+        assert run_cli("eval", "--config", cfg) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(scores) in err
+
 
 class TestBaseline:
     def test_scores_and_metrics(self, pipeline, tmp_path):
@@ -456,6 +471,24 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "images/small.pgm" in err
+
+    @pytest.mark.parametrize("bad", [b"\xc3\xa9", b"x" * 140_000], ids=["non-ascii", "oversized-field"])
+    def test_unreadable_manifest_names_the_file(self, pipeline, tmp_path, capsys, bad):
+        data = tmp_path / "data"
+        data.mkdir()
+        manifest = data / "manifest.csv"
+        manifest.write_bytes(b"path,label,split\nimag" + bad + b"s/a.pgm,ood,test\n")
+        cfg = write_cfg(
+            tmp_path / "s.ini",
+            "[run]\nout = {out}\n[score]\ndataset = {dataset}\ncheckpoint = {ckpt}\n",
+            out=tmp_path / "o",
+            dataset=data,
+            ckpt=pipeline["run"] / "checkpoint.json",
+        )
+        assert run_cli("score", "--config", cfg) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(manifest) in err
 
     def test_missing_dataset_exits_1(self, tmp_path, capsys):
         cfg = write_cfg(

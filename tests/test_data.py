@@ -3,6 +3,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waveflow.data import (
     DatasetManifest,
@@ -154,6 +156,39 @@ class TestManifest:
         path.write_text("path,label,split\nx.pgm,ood\n")
         with pytest.raises(ManifestError, match="line 2"):
             read_manifest(path)
+
+    @pytest.mark.parametrize("bad", [b"\xc3\xa9", b"x" * 140_000], ids=["non-ascii", "oversized-field"])
+    def test_unreadable_bytes_rejected(self, tmp_path, bad):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"path,label,split\nimag" + bad + b"s/a.pgm,ood,test\n")
+        with pytest.raises(ManifestError, match="m.csv"):
+            read_manifest(path)
+
+    # Byte edits of a valid manifest: (kind, position, byte); a position is
+    # taken modulo the current length.
+    EDITS = st.lists(
+        st.tuples(st.sampled_from(["mutate", "insert", "delete"]), st.integers(0, 255), st.integers(0, 255)),
+        min_size=1,
+        max_size=6,
+    )
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(edits=EDITS)
+    def test_mutated_manifest_loads_or_raises_manifest_error(self, tmp_path_factory, edits):
+        blob = bytearray(b'path,label,split\nimages/a.pgm,in_dist,train\n"images/b,1.pgm",ood,test\n')
+        for kind, pos, byte in edits:
+            if kind == "insert":
+                blob.insert(pos % (len(blob) + 1), byte)
+            elif blob and kind == "mutate":
+                blob[pos % len(blob)] = byte
+            elif blob:
+                del blob[pos % len(blob)]
+        path = tmp_path_factory.getbasetemp() / "fuzzed_manifest.csv"
+        path.write_bytes(bytes(blob))
+        try:
+            read_manifest(path)
+        except ManifestError:
+            pass
 
     def test_select_filters(self):
         manifest = DatasetManifest(records=self._records(3))

@@ -169,6 +169,12 @@ class TestWaveletMagnitude:
         with pytest.raises(ValueError, match="unknown levels"):
             wavelet_magnitude_score(img, levels=[9])
 
+    def test_one_image_of_rank_three_required(self):
+        with pytest.raises(ValueError, match=r"\(C, S, S\)"):
+            wavelet_magnitude_score(np.zeros((8, 8)))
+        with pytest.raises(ValueError, match=r"\(C, S, S\)"):
+            wavelet_magnitude_score(np.zeros((2, 1, 8, 8)))
+
     def test_tiny_image_needs_explicit_levels(self):
         img = np.random.default_rng(8).random((1, 4, 4))
         with pytest.raises(ValueError, match="no level"):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from waveflow import autodiff as ad
+from waveflow.evaluate import wavelet_magnitude_score
 from waveflow.flows import build_glow
 from waveflow.haar import build_pyramid
 from waveflow.train import TrainConfig, train
@@ -172,6 +173,18 @@ class TestScoring:
                 model.score_batch(images)
             with pytest.raises(ValueError, match="non-finite"):
                 SINGLE_SCORE[family](model, images[1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5, 1.5])
+    def test_bad_image_rejected_by_every_detector(self, bad):
+        # One bad pixel, and a constant image of the bad value.
+        one_pixel = np.full((1, 8, 8), 0.5)
+        one_pixel[0, 3, 4] = bad
+        for image in (one_pixel, np.full((1, 8, 8), bad)):
+            for build in SCORERS.values():
+                with pytest.raises(ValueError, match=r"non-finite|\[0, 1\]"):
+                    build(8).score_batch(image[None])
+            with pytest.raises(ValueError, match=r"non-finite|\[0, 1\]"):
+                wavelet_magnitude_score(image)
 
     def test_wrong_batch_rank_rejected(self):
         for build in SCORERS.values():
