@@ -12,8 +12,11 @@ batch; a single image is a batch with N=1.
 The convolution copies its input once into a zero-padded buffer and
 gathers the im2col columns from a strided view of it in one more copy;
 the buffer is freed at once, and the graph node keeps only the columns and
-the flat kernel for the backward pass, which scatters the column gradient
-back through a padded buffer in the same tap order.
+the flat kernel for the backward pass.  That pass scatters the column
+gradient into a flat (N, C*H*W) input gradient with nine contiguous shifted
+adds, one per tap in (di, dj) order; the column entries that a tap would
+send outside the image are zeroed first, so every element gets the same
+bits as a scatter into a zero-padded buffer.
 
 Inside ``with no_grad():`` the calling thread builds no graph: each new
 tensor keeps its value but no parents and no backward closure, so an
@@ -423,12 +426,27 @@ def conv2d(x, weight, bias) -> Tensor:
         dwf = np.matmul(gflat, cols.transpose(0, 2, 1)).sum(axis=0)  # (Cout, 9Cin)
         dweight = dwf.reshape(Cout, 3, 3, Cin).transpose(0, 3, 1, 2)
         dcols = np.matmul(wf.T, gflat).reshape(N, 3, 3, Cin, H, W)
-        # Scatter each tap back into a padded buffer, then drop the border.
-        gx = np.zeros((N, Cin, H + 2, W + 2))
+        # Tap (di, dj) sends dcols[:, di, dj, c, i, j] to x[c, i+di-1, j+dj-1]:
+        # a shift by s = (di-1)*W + (dj-1) of the flat (c, i, j) index.  Zero
+        # first the entries whose target lies outside the image (they would
+        # wrap into a neighbouring row or channel); they then add +0.0 to an
+        # accumulator that starts at +0.0 and so can never be -0.0.  Every
+        # element thus gets the same taps in the same (di, dj) order as a
+        # scatter into a padded buffer, and the same bits.
+        dcols[:, 0, :, :, 0, :] = 0.0
+        dcols[:, 2, :, :, H - 1, :] = 0.0
+        dcols[:, :, 0, :, :, 0] = 0.0
+        dcols[:, :, 2, :, :, W - 1] = 0.0
+        size = Cin * H * W
+        taps = dcols.reshape(N, 3, 3, size)
+        gx = np.zeros((N, size))
         for di in range(3):
             for dj in range(3):
-                gx[:, :, di : di + H, dj : dj + W] += dcols[:, di, dj]
-        return (gx[:, :, 1:-1, 1:-1], dweight, dbias)
+                s = (di - 1) * W + (dj - 1)
+                lo, hi = max(s, 0), size + min(s, 0)  # targets that stay in the array
+                if lo < hi:
+                    gx[:, lo:hi] += taps[:, di, dj, lo - s : hi - s]
+        return (gx.reshape(N, Cin, H, W), dweight, dbias)
 
     return Tensor(out, (x, weight, bias), back)
 

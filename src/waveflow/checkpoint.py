@@ -7,8 +7,9 @@ array as base64 over little-endian 64-bit floats, so a round trip
 reproduces likelihoods bit for bit on any platform.  Loading rebuilds every
 family the same way, as ``builder(**architecture)``, after checking each
 field's JSON type against the family's field table (a JSON ``true`` is not
-an integer); unknown fields and non-finite parameter values are rejected,
-so a damaged file fails with :class:`CheckpointError`.
+an integer, and the activation-normalization flags must be booleans);
+unknown fields and non-finite parameter values are rejected, so a damaged
+file fails with a :class:`CheckpointError` that names it.
 """
 from __future__ import annotations
 
@@ -105,9 +106,11 @@ def _apply_actnorm_flags(model: FlowModel | WaveletFlowModel, flags: dict) -> No
         or any(not isinstance(flags[k], list) or len(flags[k]) != len(groups[k]) for k in groups)
     ):
         raise CheckpointError("activation-normalization layout does not match the architecture")
+    if any(type(flag) is not bool for key in groups for flag in flags[key]):
+        raise CheckpointError("actnorm_initialized flags must be booleans")
     for key, layers in groups.items():
         for layer, flag in zip(layers, flags[key]):
-            layer.initialized = bool(flag)
+            layer.initialized = flag
 
 
 def save_checkpoint(model: FlowModel | WaveletFlowModel, path: str | os.PathLike) -> None:
@@ -130,10 +133,19 @@ def save_checkpoint(model: FlowModel | WaveletFlowModel, path: str | os.PathLike
 
 
 def load_checkpoint(path: str | os.PathLike) -> FlowModel | WaveletFlowModel:
+    """Rebuild the saved model; a damaged file raises a CheckpointError naming it."""
+    try:
+        return _load(path)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
+
+
+def _load(path: str | os.PathLike) -> FlowModel | WaveletFlowModel:
     try:
         with open(path, encoding="ascii") as fh:
             payload = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # json raises RecursionError for arrays or objects nested too deeply.
         raise CheckpointError(f"checkpoint is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise CheckpointError("checkpoint root must be an object")

@@ -187,10 +187,11 @@ def _read_scores(path: Path) -> list[dict]:
             raise ValueError(f"{path} line {line}: expected the {len(fields)} fields of the header")
         if raw["label"] not in LABELS:
             raise ValueError(f"no scores usable in {path}: unknown label {raw['label']!r}")
-        row = {"path": raw["path"], "label": raw["label"], "score": float(raw["score"])}
-        for key, value in raw.items():
-            if key.startswith("level_"):
-                row[key] = float(value)
+        try:
+            row = {"path": raw["path"], "label": raw["label"], "score": float(raw["score"])}
+            row.update((key, float(value)) for key, value in raw.items() if key.startswith("level_"))
+        except ValueError as exc:
+            raise ValueError(f"{path} line {line}: {exc}") from exc
         rows.append(row)
     return rows
 

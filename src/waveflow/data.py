@@ -103,9 +103,18 @@ def _header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
 
 
 def load_image(path: str | os.PathLike) -> np.ndarray:
-    """Read a binary 8-bit graymap into a (1,H,W) float array with values k/255."""
+    """Read a binary 8-bit graymap into a (1,H,W) float array with values k/255.
+
+    A malformed file raises a PgmError that names it."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    try:
+        return _decode_pgm(blob)
+    except PgmError as exc:
+        raise PgmError(f"{path}: {exc}") from exc
+
+
+def _decode_pgm(blob: bytes) -> np.ndarray:
     if not blob.startswith(b"P5"):
         raise PgmError(f"not a binary graymap (magic {blob[:2]!r}, expected b'P5')")
     tokens, offset = _header_tokens(blob, 4)

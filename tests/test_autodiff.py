@@ -61,19 +61,34 @@ def padded_conv2d_reference(x, w, b, g):
     return out, gxp[:, :, 1 : 1 + H, 1 : 1 + W], dw, db
 
 
-def assert_conv_bit_equal(x, input_grad, rng, cout=3):
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and IEEE bit patterns; unlike ``np.array_equal`` this
+    tells -0.0 from +0.0."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def assert_conv_bit_equal(x, input_grad, rng, cout=3, kernel=None, out_grad=None):
     """conv2d of the tensor ``x`` equals ``padded_conv2d_reference`` bit for
     bit: the output, dW, db, and the input gradient that ``input_grad()``
-    reads after the backward pass.  Draws the kernel, bias and output
-    gradient from ``rng`` in that order."""
+    reads after the backward pass.  The backward closure's own outputs are
+    compared too, because accumulating into a zero ``grad`` turns -0.0 into
+    +0.0.  Draws the kernel, bias and output gradient from ``rng`` in that
+    order; ``kernel`` and ``out_grad`` replace the drawn values."""
     w = ad.Parameter("w", rng.standard_normal((cout, x.shape[1], 3, 3)))
     b = ad.Parameter("b", rng.standard_normal(cout))
     g = rng.standard_normal((x.shape[0], cout) + x.shape[2:])
+    if kernel is not None:
+        w.data[...] = kernel
+    if out_grad is not None:
+        g = out_grad
     out = ad.conv2d(x, w, b)
     ad.reduce_sum(ad.mul(out, ad.Tensor(g))).backward()
     want = padded_conv2d_reference(x.data, w.data, b.data, g)
     for name, got, ref in zip(("out", "dx", "dW", "db"), (out.data, input_grad(), w.grad, b.grad), want):
-        assert np.array_equal(got, ref), name
+        assert same_bits(got, ref), name
+    for name, got, ref in zip(("raw dx", "raw dW", "raw db"), out._backward(g), want[1:]):
+        assert same_bits(got, ref), name
 
 
 def rel_err(a: np.ndarray, f: np.ndarray) -> float:
@@ -111,14 +126,14 @@ class TestConv2d:
 
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("cin", [1, 4])
-    @pytest.mark.parametrize("hw", [(1, 1), (2, 2), (4, 4), (16, 16), (3, 5)])
+    @pytest.mark.parametrize("hw", [(1, 1), (2, 2), (4, 4), (16, 16), (3, 5), (1, 7), (7, 1)])
     def test_bit_equal_to_padded_reference(self, n, cin, hw):
         # 1x1 is level1 of a 32 px pyramid: every tap but the centre reads padding.
         rng = np.random.default_rng(n * 100 + cin * 10 + hw[0])
         x = ad.Parameter("x", rng.standard_normal((n, cin) + hw))
         assert_conv_bit_equal(x, lambda: x.grad, rng)
 
-    @pytest.mark.parametrize("case", ["channel-slice", "transposed", "score-chunk"])
+    @pytest.mark.parametrize("case", ["channel-slice", "transposed", "score-chunk", "train-batch", "relu-zeros"])
     def test_bit_equal_to_padded_reference_on_views_and_score_chunk(self, case):
         rng = np.random.default_rng(5)
         if case == "channel-slice":
@@ -132,10 +147,28 @@ class TestConv2d:
             x = ad.Parameter("x", rng.standard_normal((2, 4, 5, 3)).transpose(0, 1, 3, 2))
             assert not x.data.flags.c_contiguous
             assert_conv_bit_equal(x, lambda: x.grad, rng)
-        else:
+        elif case == "score-chunk":
             # A chunk of waveflow score at a 16x16 level with hidden = 24.
             x = ad.Parameter("x", rng.standard_normal((8, 24, 16, 16)))
             assert_conv_bit_equal(x, lambda: x.grad, rng, cout=24)
+        elif case == "train-batch":
+            # A training batch at a 16x16 level with hidden = 24.
+            x = ad.Parameter("x", rng.standard_normal((32, 24, 16, 16)))
+            assert_conv_bit_equal(x, lambda: x.grad, rng, cout=24)
+        else:
+            # A relu output holds exact zeros.  The column gradient is -0.0
+            # only where every product underflows with a negative sign (a
+            # BLAS sum starts at +0.0): a kernel in (0, 0.5) against an output
+            # gradient of -5e-324, with -0.0 and +0.0 border rows, gives
+            # -0.0 columns, so an input gradient seeded from a tap instead of
+            # +0.0 would come back as -0.0.
+            x = ad.Parameter("x", np.maximum(rng.standard_normal((2, 4, 6, 6)), 0.0))
+            assert (x.data == 0.0).any()
+            g = np.full((2, 3, 6, 6), -5e-324)
+            g[:, :, 0, :] = -0.0
+            g[:, :, -1, :] = 0.0
+            kernel = rng.uniform(0.01, 0.49, (3, 4, 3, 3))
+            assert_conv_bit_equal(x, lambda: x.grad, rng, kernel=kernel, out_grad=g)
 
     def test_graph_keeps_only_the_columns(self):
         # The backward closure holds the (N, 9C, HW) columns and the flat

@@ -200,9 +200,18 @@ def _poison_first_parameter(payload):
     entry["data"] = base64.b64encode(values.tobytes()).decode()
 
 
+def _flags_as_strings(payload):
+    flags = payload["actnorm_initialized"]
+    for key in flags:
+        flags[key] = ["yes" if flag else "no" for flag in flags[key]]
+
+
 # Each damages one field's JSON type or value; every one must fail as a
-# CheckpointError, never as a TypeError/AttributeError traceback.
+# CheckpointError, never as a TypeError/AttributeError traceback.  An edit
+# that returns text replaces the whole file with it.
 DAMAGE = {
+    "deeply-nested-json": lambda payload: "[" * 100000,
+    "actnorm-flag-string": _flags_as_strings,
     "architecture-not-object": lambda payload: payload.update(architecture="x"),
     "steps-per-level-list": lambda payload: payload["architecture"].update(steps_per_level=[1, 1, 1]),
     "parameters-not-list": lambda payload: payload.update(parameters=7),
@@ -221,6 +230,7 @@ def _reject_by_loader_and_cli(path, tmp_path, capsys, match=None):
     assert main(["score", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    assert str(path) in err
 
 
 @pytest.mark.parametrize("damage", sorted(DAMAGE))
@@ -228,8 +238,8 @@ def test_damaged_checkpoint_rejected_by_loader_and_cli(damage, wavelet_model, tm
     path = tmp_path / "wf.ckpt"
     save_checkpoint(wavelet_model, path)
     payload = json.loads(path.read_text())
-    DAMAGE[damage](payload)
-    path.write_text(json.dumps(payload))
+    text = DAMAGE[damage](payload)
+    path.write_text(text or json.dumps(payload))
     _reject_by_loader_and_cli(path, tmp_path, capsys)
 
 

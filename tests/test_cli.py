@@ -358,6 +358,24 @@ class TestEval:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "line 3" in err
 
+    @pytest.mark.parametrize(
+        "header, row", [("score", "a.pgm,in_dist,abc"), ("score,level_1", "a.pgm,in_dist,1.0,x")], ids=["score", "level"]
+    )
+    def test_non_numeric_score_names_the_file_and_line(self, tmp_path, capsys, header, row):
+        scores = tmp_path / "scores.csv"
+        first = "b.pgm,ood,2.0" + ",3.0" * header.count(",")
+        scores.write_text(f"path,label,{header}\n{first}\n{row}\n")
+        cfg = write_cfg(
+            tmp_path / "e.ini",
+            "[run]\nout = {out}\n[eval]\nscores = {scores}\n",
+            out=tmp_path / "o",
+            scores=scores,
+        )
+        assert run_cli("eval", "--config", cfg) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"{scores} line 3" in err
+
     @pytest.mark.parametrize("bad", [b"\xe9", b"x" * 140_000], ids=["non-ascii", "oversized-field"])
     def test_unreadable_scores_file_names_the_file(self, tmp_path, capsys, bad):
         scores = tmp_path / "scores.csv"

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +31,28 @@ SMALL = dataclasses.replace(SynthConfig(), train_in_dist=6, test_in_dist=4, test
 def knobs_off(profile: LesionProfile) -> LesionProfile:
     """The profile with every class feature except radius/contrast disabled."""
     return dataclasses.replace(profile, border_irregularity=0.0, texture=0.0, hair_strokes=(0, 0))
+
+
+# Byte edits of a valid file: (kind, position, byte); a position is taken
+# modulo the current length.  Derandomized, so every run fuzzes the same files.
+EDITS = st.lists(
+    st.tuples(st.sampled_from(["mutate", "insert", "delete"]), st.integers(0, 255), st.integers(0, 255)),
+    min_size=1,
+    max_size=6,
+)
+FUZZ_SETTINGS = settings(derandomize=True, database=None, max_examples=400, deadline=None)
+
+
+def apply_edits(blob: bytes, edits) -> bytes:
+    out = bytearray(blob)
+    for kind, pos, byte in edits:
+        if kind == "insert":
+            out.insert(pos % (len(out) + 1), byte)
+        elif out and kind == "mutate":
+            out[pos % len(out)] = byte
+        elif out:
+            del out[pos % len(out)]
+    return bytes(out)
 
 
 def tree_digest(root):
@@ -96,6 +119,30 @@ class TestPgm:
         path.write_bytes(b"P5\nx 2\n255\n" + bytes(4))
         with pytest.raises(PgmError, match="non-numeric"):
             load_image(path)
+
+    @pytest.mark.parametrize(
+        "blob",
+        [b"P2\n2 2\n255\n0123", b"P5\n4", b"P5\nx 2\n255\n0123", b"P5\n0 2\n255\n", b"P5\n4 4\n255\n0"],
+        ids=["magic", "header", "non-numeric", "dimensions", "payload"],
+    )
+    def test_errors_name_the_file(self, tmp_path, blob):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(blob)
+        with pytest.raises(PgmError, match=re.escape(str(path))):
+            load_image(path)
+
+    @FUZZ_SETTINGS
+    @given(edits=EDITS)
+    def test_mutated_graymap_loads_or_raises_pgm_error(self, tmp_path_factory, edits):
+        path = tmp_path_factory.getbasetemp() / "fuzzed.pgm"
+        path.write_bytes(apply_edits(b"P5\n4 4\n255\n" + bytes(range(0, 256, 16)), edits))
+        try:
+            image = load_image(path)
+        except PgmError as exc:
+            assert str(path) in str(exc)
+        else:
+            assert image.dtype == np.float64 and image.ndim == 3 and image.shape[0] == 1
+            assert 0.0 <= image.min() and image.max() <= 1.0
 
     def test_save_rejects_out_of_range(self, tmp_path):
         with pytest.raises(PgmError, match=r"\[0,1\]"):
@@ -164,27 +211,12 @@ class TestManifest:
         with pytest.raises(ManifestError, match="m.csv"):
             read_manifest(path)
 
-    # Byte edits of a valid manifest: (kind, position, byte); a position is
-    # taken modulo the current length.
-    EDITS = st.lists(
-        st.tuples(st.sampled_from(["mutate", "insert", "delete"]), st.integers(0, 255), st.integers(0, 255)),
-        min_size=1,
-        max_size=6,
-    )
-
-    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @FUZZ_SETTINGS
     @given(edits=EDITS)
     def test_mutated_manifest_loads_or_raises_manifest_error(self, tmp_path_factory, edits):
-        blob = bytearray(b'path,label,split\nimages/a.pgm,in_dist,train\n"images/b,1.pgm",ood,test\n')
-        for kind, pos, byte in edits:
-            if kind == "insert":
-                blob.insert(pos % (len(blob) + 1), byte)
-            elif blob and kind == "mutate":
-                blob[pos % len(blob)] = byte
-            elif blob:
-                del blob[pos % len(blob)]
+        blob = b'path,label,split\nimages/a.pgm,in_dist,train\n"images/b,1.pgm",ood,test\n'
         path = tmp_path_factory.getbasetemp() / "fuzzed_manifest.csv"
-        path.write_bytes(bytes(blob))
+        path.write_bytes(apply_edits(blob, edits))
         try:
             read_manifest(path)
         except ManifestError:
