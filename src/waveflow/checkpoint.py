@@ -7,7 +7,9 @@ array as base64 over little-endian 64-bit floats, so a round trip
 reproduces likelihoods bit for bit on any platform.  Loading rebuilds every
 family the same way, as ``builder(**architecture)``, after checking each
 field's JSON type against the family's field table (a JSON ``true`` is not
-an integer, and the activation-normalization flags must be booleans);
+an integer, and the activation-normalization flags must be booleans) and
+the number of parameter entries against the count the architecture
+implies, so an edited step count fails before anything is allocated;
 unknown fields and non-finite parameter values are rejected, so a damaged
 file fails with a :class:`CheckpointError` that names it.
 """
@@ -91,6 +93,17 @@ def _check_architecture(family, arch) -> None:
         raise CheckpointError("architecture field 'steps_per_level' must map levels to integer step counts")
 
 
+def _parameter_count(family: str, arch: dict) -> int:
+    """Parameter arrays the architecture implies: 8 per flow step (2 actnorm,
+    6 coupling), plus the pyramid residue's mean and log-std."""
+    counts = (arch["K"], arch["L"]) if family == "glow" else tuple(arch["steps_per_level"].values())
+    if min(counts, default=0) < 1:
+        raise CheckpointError(f"architecture step counts must be >= 1, got {counts}")
+    if family == "glow":
+        return 8 * arch["K"] * arch["L"]
+    return 2 + 8 * sum(counts)
+
+
 def _actnorm_groups(model: FlowModel | WaveletFlowModel) -> dict[str, list[ActNorm]]:
     """The activation-normalization layers of every component that has any
     (the pyramid residue has none, so it has no key)."""
@@ -160,18 +173,18 @@ def _load(path: str | os.PathLike) -> FlowModel | WaveletFlowModel:
     family = payload["family"]
     arch = payload["architecture"]
     _check_architecture(family, arch)
+    entries = payload["parameters"]
+    if not isinstance(entries, list):
+        raise CheckpointError(f"parameters must be a list, got {type(entries).__name__}")
+    # Counted before building, so an edited size field fails without allocating.
+    needed = _parameter_count(family, arch)
+    if len(entries) != needed:
+        raise CheckpointError(f"checkpoint has {len(entries)} parameters, architecture needs {needed}")
     try:
         model = _BUILDERS[family](**arch)
     except ValueError as exc:
         raise CheckpointError(f"architecture is invalid: {exc}") from exc
     params = model.parameters()
-    entries = payload["parameters"]
-    if not isinstance(entries, list):
-        raise CheckpointError(f"parameters must be a list, got {type(entries).__name__}")
-    if len(entries) != len(params):
-        raise CheckpointError(
-            f"checkpoint has {len(entries)} parameters, architecture needs {len(params)}"
-        )
     for param, entry in zip(params, entries):
         if not isinstance(entry, dict):
             raise CheckpointError(f"parameter entry for '{param.name}' must be an object")

@@ -4,6 +4,9 @@ Every command reads one sectioned config file, applies the --out/--seed/
 --threads overrides, writes the fully-resolved config next to its
 outputs, and exits 0 on success — or nonzero with a one-line diagnostic
 on stderr (2 for configuration problems, 1 for runtime failures).
+``synth`` and ``train`` build their run dataclasses straight from their
+config sections; a value a dataclass's ``validate()`` rejects is a
+configuration problem, reported before any data is read or generated.
 
 ``score`` and ``baseline`` share one chunked loop that turns each
 detector's ``ScoreReport`` into a ``scores.csv`` row.
@@ -13,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -69,66 +73,43 @@ def _parse_args(argv):
     return parser.parse_args(argv)
 
 
-def _profile(cfg: ResolvedConfig, section: str) -> LesionProfile:
-    return LesionProfile(
-        radius=cfg.get(section, "radius"),
-        contrast=cfg.get(section, "contrast"),
-        edge_width=cfg.get(section, "edge_width"),
-        shading=cfg.get(section, "shading"),
-        border_irregularity=cfg.get(section, "border_irregularity"),
-        texture=cfg.get(section, "texture"),
-        hair_strokes=cfg.get(section, "hair_strokes"),
-    )
+def _validated(config):
+    """``config`` once its ``validate()`` passes; what it rejects is a ConfigError."""
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return config
 
 
 def cmd_synth(cfg: ResolvedConfig, out_dir: Path) -> None:
     synth = SynthConfig(
-        image_size=cfg.get("synth", "image_size"),
-        train_in_dist=cfg.get("synth", "train_in_dist"),
-        test_in_dist=cfg.get("synth", "test_in_dist"),
-        test_ood=cfg.get("synth", "test_ood"),
-        in_dist=_profile(cfg, "synth.in_dist"),
-        ood=_profile(cfg, "synth.ood"),
-        brightness=cfg.get("synth", "brightness"),
-        background_gradient=cfg.get("synth", "background_gradient"),
-        seed=cfg.get("synth", "seed"),
+        **cfg.section("synth"),
+        in_dist=LesionProfile(**cfg.section("synth.in_dist")),
+        ood=LesionProfile(**cfg.section("synth.ood")),
     )
-    generate_synthetic(synth, out_dir, threads=cfg.get("run", "threads"))
+    generate_synthetic(_validated(synth), out_dir, threads=cfg.get("run", "threads"))
 
 
 def cmd_train(cfg: ResolvedConfig, out_dir: Path) -> None:
+    training = cfg.section("training")
+    ranges = {f.name: training.pop(f.name) for f in fields(AugmentConfig)}
+    augment = AugmentConfig(**ranges) if training["augment"] else None
+    train_config = _validated(TrainConfig(**{**training, "augment": augment}))
     dataset = Path(cfg.get("train", "dataset"))
     manifest = read_manifest(dataset / "manifest.csv")
     images, _ = load_split(manifest, "train")
     size = images.shape[-1]
-    seed = cfg.get("training", "seed")
     layout = {
         "image_size": size,
         "mask_strategy": cfg.get("train", "mask_strategy"),
         "hidden": cfg.get("train", "hidden"),
-        "seed": seed,
+        "seed": train_config.seed,
     }
     if cfg.get("train", "family") == "waveletflow":
         model = build_waveletflow(steps_per_level=cfg.get("train", "K"), **layout)
     else:
         model = build_glow(K=cfg.get("train", "K"), L=cfg.get("train", "L"), in_channels=1, **layout)
-    augment = None
-    if cfg.get("training", "augment"):
-        augment = AugmentConfig(
-            rotation=cfg.get("training", "rotation"),
-            translation=cfg.get("training", "translation"),
-            scaling=cfg.get("training", "scaling"),
-            shear=cfg.get("training", "shear"),
-        )
-    train_config = TrainConfig(
-        learning_rate=cfg.get("training", "learning_rate"),
-        batch_size=cfg.get("training", "batch_size"),
-        max_epochs=cfg.get("training", "max_epochs"),
-        patience=cfg.get("training", "patience"),
-        augment=augment,
-        dequantize=cfg.get("training", "dequantize"),
-        seed=seed,
-    )
     histories = train(model, images, train_config)
     save_checkpoint(model, out_dir / "checkpoint.json")
     with open(out_dir / "history.csv", "w", encoding="ascii", newline="") as fh:
@@ -282,14 +263,13 @@ def main(argv=None) -> int:
         cfg = parse_command_config(
             args.command, args.config, out=args.out, seed=args.seed, threads=args.threads
         )
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         out_dir = Path(cfg.get("run", "out"))
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "config.resolved.ini").write_text(cfg.text(), encoding="utf-8")
         _DISPATCH[args.command](cfg, out_dir)
+    except ConfigError as exc:  # a ValueError, so it goes first
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (
         ManifestError,
         PgmError,

@@ -2,9 +2,14 @@
 
 Each command owns a schema of sections and typed keys.  Parsing is
 strict: unknown sections or keys, missing required keys, and malformed
-values are all rejected up front.  The fully-resolved configuration
-(defaults filled in, command-line overrides applied) is rendered back
-to text so every run can write it next to its outputs.
+values are all rejected up front.  The keys of ``[synth]``,
+``[synth.in_dist]``, ``[synth.ood]`` and ``[training]`` are fields of the
+run dataclasses (``SynthConfig``, ``LesionProfile``, ``TrainConfig``,
+``AugmentConfig``) and take their defaults from a default instance, so
+each default is written once; ``ResolvedConfig.section`` hands a section
+back as keyword arguments for its dataclass.  The fully-resolved
+configuration (defaults filled in, command-line overrides applied) is
+rendered back to text so every run can write it next to its outputs.
 """
 from __future__ import annotations
 
@@ -14,8 +19,9 @@ import os
 from dataclasses import dataclass
 from typing import Callable
 
-from .data import SPLITS
+from .data import SPLITS, LesionProfile, SynthConfig
 from .masks import STRATEGIES
+from .train import TrainConfig
 
 __all__ = ["ConfigError", "ResolvedConfig", "COMMANDS", "parse_command_config"]
 
@@ -106,16 +112,22 @@ class Field:
         return self.default is _REQUIRED
 
 
-def _profile_schema(radius, contrast, edge_width, shading, irregularity, texture, hairs):
-    return {
-        "radius": Field(_pair(_float), radius),
-        "contrast": Field(_pair(_float), contrast),
-        "edge_width": Field(_float, edge_width),
-        "shading": Field(_float, shading),
-        "border_irregularity": Field(_float, irregularity),
-        "texture": Field(_float, texture),
-        "hair_strokes": Field(_pair(int), hairs),
-    }
+def _fields(defaults, **parsers: Callable[[str], object]) -> dict[str, Field]:
+    """Schema keys whose defaults are the same-named attributes of ``defaults``."""
+    return {key: Field(parse, getattr(defaults, key)) for key, parse in parsers.items()}
+
+
+def _profile_schema(profile: LesionProfile) -> dict[str, Field]:
+    return _fields(
+        profile,
+        radius=_pair(_float),
+        contrast=_pair(_float),
+        edge_width=_float,
+        shading=_float,
+        border_irregularity=_float,
+        texture=_float,
+        hair_strokes=_pair(int),
+    )
 
 
 _RUN_SECTION = {
@@ -123,38 +135,38 @@ _RUN_SECTION = {
     "threads": Field(_count, 1),
 }
 
+_SYNTH = SynthConfig()
+_TRAINING = TrainConfig()
+
 _TRAINING_SECTION = {
-    "learning_rate": Field(_float, 1e-4),
-    "batch_size": Field(_count, 32),
-    "max_epochs": Field(_count, 20),
-    "patience": Field(_count, 10),
-    "augment": Field(_bool, True),
-    "rotation": Field(_pair(_float), (-180.0, 180.0)),
-    "translation": Field(_pair(_float), (-0.1, 0.1)),
-    "scaling": Field(_pair(_float), (0.9, 1.1)),
-    "shear": Field(_pair(_float), (-10.0, 10.0)),
-    "dequantize": Field(_bool, False),
-    "seed": Field(int, 0),
+    **_fields(_TRAINING, learning_rate=_float, batch_size=_count, max_epochs=_count, patience=_count),
+    "augment": Field(_bool, _TRAINING.augment is not None),
+    # The ranges of the default AugmentConfig; cli.cmd_train pops them into one.
+    **_fields(
+        _TRAINING.augment,
+        rotation=_pair(_float),
+        translation=_pair(_float),
+        scaling=_pair(_float),
+        shear=_pair(_float),
+    ),
+    **_fields(_TRAINING, dequantize=_bool, seed=int),
 }
 
 SCHEMAS: dict[str, dict[str, dict[str, Field]]] = {
     "synth": {
         "run": _RUN_SECTION,
-        "synth": {
-            "image_size": Field(_image_size, 32),
-            "train_in_dist": Field(_count, 240),
-            "test_in_dist": Field(_count, 80),
-            "test_ood": Field(_count, 80),
-            "brightness": Field(_pair(_float), (0.62, 0.88)),
-            "background_gradient": Field(_float, 0.12),
-            "seed": Field(int, 0),
-        },
-        "synth.in_dist": _profile_schema(
-            (0.18, 0.28), (0.28, 0.50), 0.18, 0.15, 0.05, 0.015, (0, 0)
+        "synth": _fields(
+            _SYNTH,
+            image_size=_image_size,
+            train_in_dist=_count,
+            test_in_dist=_count,
+            test_ood=_count,
+            brightness=_pair(_float),
+            background_gradient=_float,
+            seed=int,
         ),
-        "synth.ood": _profile_schema(
-            (0.20, 0.30), (0.28, 0.50), 0.40, 0.15, 0.08, 0.06, (0, 2)
-        ),
+        "synth.in_dist": _profile_schema(_SYNTH.in_dist),
+        "synth.ood": _profile_schema(_SYNTH.ood),
     },
     "train": {
         "run": _RUN_SECTION,
@@ -215,13 +227,17 @@ class ResolvedConfig:
     def get(self, section: str, key: str):
         return self.values[(section, key)]
 
+    def section(self, name: str) -> dict:
+        """The section's ``{key: value}``, in schema order."""
+        return {key: self.values[(name, key)] for key in SCHEMAS[self.command][name]}
+
     def text(self) -> str:
         """Canonical rendering, schema order, defaults filled in."""
         lines = []
-        for section, keys in SCHEMAS[self.command].items():
+        for section in SCHEMAS[self.command]:
             lines.append(f"[{section}]")
-            for key in keys:
-                lines.append(f"{key} = {_render(self.values[(section, key)])}")
+            for key, value in self.section(section).items():
+                lines.append(f"{key} = {_render(value)}")
             lines.append("")
         return "\n".join(lines)
 

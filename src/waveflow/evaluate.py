@@ -42,18 +42,9 @@ def _checked(scores, name: str) -> np.ndarray:
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks where tied values share the mean of their positions."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values), dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    n = len(values)
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    first = np.cumsum(counts) - counts  # 0-based position of each value's first copy
+    return (first + 0.5 * (counts - 1) + 1.0)[inverse]
 
 
 def auc(id_scores, ood_scores) -> float:
@@ -73,14 +64,12 @@ def roc_points(id_scores, ood_scores) -> np.ndarray:
     ``score >= threshold`` rule over every distinct score, descending."""
     nominal = _checked(id_scores, "in-distribution")
     anomalous = _checked(ood_scores, "out-of-distribution")
-    points = [(0.0, 0.0)]
-    fp = tp = 0
     n0, n1 = len(nominal), len(anomalous)
-    for threshold in np.unique(np.concatenate([nominal, anomalous]))[::-1]:
-        fp += int(np.sum(nominal == threshold))
-        tp += int(np.sum(anomalous == threshold))
-        points.append((fp / n0, tp / n1))
-    return np.array(points)
+    thresholds, inverse = np.unique(np.concatenate([nominal, anomalous]), return_inverse=True)
+    descending = len(thresholds) - 1 - inverse  # each score's threshold index, highest first
+    fp = np.cumsum(np.bincount(descending[:n0], minlength=len(thresholds)))
+    tp = np.cumsum(np.bincount(descending[n0:], minlength=len(thresholds)))
+    return np.vstack([[0.0, 0.0], np.column_stack([fp / n0, tp / n1])])
 
 
 def trapezoid_area(points: np.ndarray) -> float:

@@ -62,7 +62,7 @@ class AugmentConfig:
 class TrainConfig:
     learning_rate: float = 1e-4
     batch_size: int = 32
-    max_epochs: int = 100
+    max_epochs: int = 20
     patience: int = 10
     augment: AugmentConfig | None = field(default_factory=AugmentConfig)
     dequantize: bool = False

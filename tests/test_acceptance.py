@@ -38,6 +38,8 @@ from waveflow.masks import STRATEGIES, make_mask
 from waveflow.train import TrainConfig, train
 from waveflow.waveletflow import build_waveletflow
 
+from helpers import numeric_logabsdet, pairwise_auc, randomize
+
 
 @contextmanager
 def criterion(number: int, name: str):
@@ -55,32 +57,6 @@ def _verdict(number: int, name: str, verdict: str, info: dict) -> None:
     detail = " ".join(f"{k}={v}" for k, v in info.items())
     suffix = f" ({detail})" if detail else ""
     print(f"[acceptance] {number:02d} {name}: {verdict}{suffix}", flush=True)
-
-
-def randomize(model: FlowModel, rng: np.random.Generator, scale: float = 0.1) -> None:
-    """Turn a freshly built (identity) flow into a non-trivial bijection."""
-    for p in model.parameters():
-        p.data[...] = rng.normal(0.0, scale, size=p.data.shape)
-    for layer in model.actnorm_layers():
-        layer.scale.data[...] = np.abs(layer.scale.data) + 0.7
-        layer.initialized = True
-
-
-def numeric_logabsdet(fn, x: np.ndarray, eps: float = 1e-5) -> float:
-    """log|det J| of a flattened map via a central-difference Jacobian."""
-    d = x.size
-    jac = np.zeros((d, d))
-    flat = x.reshape(-1).copy()
-    for j in range(d):
-        bumped = flat.copy()
-        bumped[j] += eps
-        plus = fn(bumped.reshape(x.shape))
-        bumped[j] -= 2 * eps
-        minus = fn(bumped.reshape(x.shape))
-        jac[:, j] = (plus - minus) / (2 * eps)
-    sign, logdet = np.linalg.slogdet(jac)
-    assert sign != 0, "numerical Jacobian is singular"
-    return float(logdet)
 
 
 # ---------------------------------------------------------------------------
@@ -405,15 +381,6 @@ def test_09_parameter_count_scales_with_depth():
 # ---------------------------------------------------------------------------
 # 10. Three independent AUC computations agree exactly
 # ---------------------------------------------------------------------------
-
-
-def pairwise_auc(id_scores, ood_scores) -> float:
-    wins = ties = 0
-    for a in id_scores:
-        for b in ood_scores:
-            wins += b > a
-            ties += b == a
-    return (wins + 0.5 * ties) / (len(id_scores) * len(ood_scores))
 
 
 def test_10_auc_implementations_agree():

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from waveflow import checkpoint
 from waveflow.checkpoint import (
     FORMAT_VERSION,
     CheckpointError,
@@ -244,7 +245,8 @@ def test_damaged_checkpoint_rejected_by_loader_and_cli(damage, wavelet_model, tm
 
 
 # One edited value in a stored checkpoint: (file, edit, expected message).
-# A JSON true is not an integer, and a conditional flow must be single-scale.
+# A JSON true is not an integer, step counts are positive, and a conditional
+# flow must be single-scale.
 STORED_DAMAGE = {
     "glow-K-true": ("glow_4px.json", lambda p: p["architecture"].update(K=True), "'K' must be a int"),
     "format-version-true": ("glow_4px.json", lambda p: p.update(format_version=True), "format_version"),
@@ -253,6 +255,7 @@ STORED_DAMAGE = {
         lambda p: p["architecture"]["steps_per_level"].update({"1": True}),
         "steps_per_level",
     ),
+    "glow-K-negative": ("glow_4px.json", lambda p: p["architecture"].update(K=-2), "step counts must be >= 1"),
     "conditional-multiscale-glow": (
         "glow_4px.json",
         lambda p: p["architecture"].update(cond_channels=1),
@@ -261,11 +264,43 @@ STORED_DAMAGE = {
 }
 
 
-@pytest.mark.parametrize("damage", sorted(STORED_DAMAGE))
-def test_edited_stored_checkpoint_rejected_by_loader_and_cli(damage, tmp_path, capsys):
-    name, edit, match = STORED_DAMAGE[damage]
+def _edited_stored(name, edit, tmp_path):
     payload = json.loads((DATA / name).read_text())
     edit(payload)
     path = tmp_path / name
     path.write_text(json.dumps(payload))
-    _reject_by_loader_and_cli(path, tmp_path, capsys, match)
+    return path
+
+
+@pytest.mark.parametrize("damage", sorted(STORED_DAMAGE))
+def test_edited_stored_checkpoint_rejected_by_loader_and_cli(damage, tmp_path, capsys):
+    name, edit, match = STORED_DAMAGE[damage]
+    _reject_by_loader_and_cli(_edited_stored(name, edit, tmp_path), tmp_path, capsys, match)
+
+
+# A step count edited far up: the entries are counted against the count
+# the architecture implies before anything is built.
+HUGE_STEP_COUNT = {
+    "glow-K-2000": (
+        "glow_4px.json",
+        lambda p: p["architecture"].update(K=2000),
+        "has 16 parameters, architecture needs 32000",
+    ),
+    "waveletflow-level-2000": (
+        "waveletflow_4px.json",
+        lambda p: p["architecture"]["steps_per_level"].update({"2": 2000}),
+        "has 26 parameters, architecture needs 16010",
+    ),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(HUGE_STEP_COUNT))
+def test_parameter_count_is_checked_before_the_model_is_built(damage, tmp_path, capsys, monkeypatch):
+    name, edit, match = HUGE_STEP_COUNT[damage]
+
+    def not_built(**architecture):
+        raise AssertionError("built the model before counting its parameters")
+
+    for family in list(checkpoint._BUILDERS):
+        monkeypatch.setitem(checkpoint._BUILDERS, family, not_built)
+    _reject_by_loader_and_cli(_edited_stored(name, edit, tmp_path), tmp_path, capsys, match)

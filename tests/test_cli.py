@@ -15,12 +15,14 @@ from waveflow.cli import main
 from waveflow.data import (
     DatasetManifest,
     ManifestRecord,
+    SynthConfig,
     load_image,
     read_manifest,
     save_image,
     write_manifest,
 )
 from waveflow.flows import FlowModel
+from waveflow.train import TrainConfig
 from waveflow.waveletflow import WaveletFlowModel
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -170,6 +172,17 @@ class TestTrain:
         )
         assert run_cli("train", "--config", cfg) == 0
         assert isinstance(load_checkpoint(out / "checkpoint.json"), FlowModel)
+
+    def test_cli_defaults_are_the_dataclass_defaults(self, pipeline, tmp_path, monkeypatch):
+        built = {}
+        monkeypatch.setattr(cli, "generate_synthetic", lambda synth, out, threads: built.update(synth=synth))
+        monkeypatch.setattr(cli, "train", lambda model, images, config: built.update(train=config) or {})
+        cfg = write_cfg(tmp_path / "s.ini", "[run]\nout = {out}\n", out=tmp_path / "s")
+        assert run_cli("synth", "--config", cfg) == 0
+        text = "[run]\nout = {out}\n[train]\ndataset = {dataset}\n"
+        cfg = write_cfg(tmp_path / "t.ini", text, out=tmp_path / "t", dataset=pipeline["data"])
+        assert run_cli("train", "--config", cfg) == 0
+        assert built == {"synth": SynthConfig(), "train": TrainConfig()}
 
     def test_ood_in_train_manifest_fails(self, tmp_path):
         data = tmp_path / "bad"
@@ -446,6 +459,29 @@ class TestErrors:
         cfg.write_text("[run]\nout = o\n[synth]\nnot_a_knob = 1\n")
         assert run_cli("synth", "--config", str(cfg)) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, setting, message",
+        [
+            ("synth", "[synth.in_dist]\nradius = 0.3, 0.2\n", "in_dist.radius"),
+            ("train", "[training]\nlearning_rate = 0\n", "learning_rate"),
+            ("train", "[training]\nrotation = 10, -10\n", "rotation"),
+        ],
+        ids=["inverted-radius", "zero-learning-rate", "inverted-rotation"],
+    )
+    def test_value_the_run_dataclass_rejects_exits_2(
+        self, command, setting, message, tmp_path, capsys, monkeypatch
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a rejected config reached the data")
+
+        monkeypatch.setattr(cli, "read_manifest", no_work)
+        monkeypatch.setattr(cli, "generate_synthetic", no_work)
+        text = "[run]\nout = {out}\n" + ("[train]\ndataset = {dataset}\n" if command == "train" else "")
+        cfg = write_cfg(tmp_path / "c.ini", text + setting, out=tmp_path / "o", dataset=tmp_path / "d")
+        assert run_cli(command, "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and message in err
 
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"

@@ -1,6 +1,8 @@
+import hashlib
+
 import pytest
 
-from waveflow.config import ConfigError, parse_command_config
+from waveflow.config import COMMANDS, ConfigError, parse_command_config
 
 
 def write(tmp_path, text, name="run.ini"):
@@ -162,3 +164,36 @@ class TestResolvedText:
         text = parse_command_config("train", path).text()
         for needle in ("[run]", "[train]", "[training]", "mask_strategy", "patience"):
             assert needle in text
+
+    # SHA-256 of the text each command resolves from a config that sets only
+    # [run] out and the command's required keys: it pins every default.
+    MINIMAL = {
+        "synth": "",
+        "train": "[train]\ndataset = d\n",
+        "score": "[score]\ndataset = d\ncheckpoint = c\n",
+        "eval": "[eval]\nscores = s\n",
+        "baseline": "[baseline]\ndataset = d\n",
+        "sample": "[sample]\ncheckpoint = c\n",
+    }
+    DEFAULT_TEXT_SHA256 = {
+        "synth": "25bf0351748efcfd2c144539ca5e55e1df86f49a00b8f078740a52e25d3e5cc2",
+        "train": "814295b9540a406479c305c16381491ca45ac263749945deec06ae70b1777a86",
+        "score": "2a3d941200bb6227ce502482ee7c83bee3d1601807cf4be1ad5c62136e2e151b",
+        "eval": "65ddd9de3bf1eef681b787e9c6e67b2fc20c8aecb16c35d97d4ec1249193838f",
+        "baseline": "892e5dd01e415cfeccbafacbd65b25cb7b02e0c96c196baf12da800722a9cb8a",
+        "sample": "bcec302e754dabcb33ee93d1d793e0b85edbd32c34950a1f1da58581cfa5fd4c",
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_default_rendering_is_pinned(self, command, tmp_path):
+        path = write(tmp_path, "[run]\nout = o\n" + self.MINIMAL[command])
+        text = parse_command_config(command, path).text()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.DEFAULT_TEXT_SHA256[command], text
+
+    def test_section_is_keyword_arguments_in_schema_order(self, tmp_path):
+        path = write(tmp_path, "[run]\nout = o\n[synth.ood]\ntexture = 0.5\n")
+        section = parse_command_config("synth", path).section("synth.ood")
+        assert list(section) == [
+            "radius", "contrast", "edge_width", "shading", "border_irregularity", "texture", "hair_strokes",
+        ]
+        assert section["texture"] == 0.5 and section["hair_strokes"] == (0, 2)

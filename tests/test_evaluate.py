@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from waveflow import evaluate
 from waveflow.evaluate import (
     auc,
     metrics_json,
@@ -14,15 +15,7 @@ from waveflow.evaluate import (
 )
 from waveflow.haar import build_pyramid
 
-
-def pairwise_auc(id_scores, ood_scores):
-    """Brute-force oracle: P(ood > id) + 0.5 P(tie) over all pairs."""
-    wins = ties = 0
-    for o in ood_scores:
-        for i in id_scores:
-            wins += o > i
-            ties += o == i
-    return (wins + 0.5 * ties) / (len(id_scores) * len(ood_scores))
+from helpers import pairwise_auc
 
 
 class TestAuc:
@@ -79,6 +72,42 @@ class TestRoc:
         diagonal = [s for s in steps if s[0] > 0 and s[1] > 0]
         assert len(diagonal) == 1
         assert diagonal[0] == pytest.approx([0.5, 0.5])
+
+    def test_equals_loop_reference_bit_for_bit(self):
+        """The vectorized ranks and sweep against the per-value loops they
+        replaced, on tie-heavy sets that mix -0.0 and +0.0."""
+
+        def midranks_loop(values):
+            order = np.argsort(values, kind="mergesort")
+            ranks = np.empty(len(values))
+            i = 0
+            while i < len(values):
+                j = i
+                while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+                    j += 1
+                ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+                i = j + 1
+            return ranks
+
+        def roc_loop(a, b):
+            points, fp, tp = [(0.0, 0.0)], 0, 0
+            for threshold in np.unique(np.concatenate([a, b]))[::-1]:
+                fp += int(np.sum(a == threshold))
+                tp += int(np.sum(b == threshold))
+                points.append((fp / len(a), tp / len(b)))
+            return np.array(points)
+
+        rng = np.random.default_rng(6)
+        for trial in range(100):
+            a = rng.integers(-3, 4, size=rng.integers(1, 40)).astype(float)
+            b = rng.integers(-3, 4, size=rng.integers(1, 40)).astype(float)
+            if trial % 2:
+                a, b = a * 0.5 * rng.random(), np.where(b == 0, -0.0, b)
+            pooled = np.concatenate([a, b])
+            assert evaluate._midranks(pooled).view(np.uint64).tolist() == (
+                midranks_loop(pooled).view(np.uint64).tolist()
+            )
+            assert roc_points(a, b).view(np.uint64).tolist() == roc_loop(a, b).view(np.uint64).tolist()
 
     def test_area_equals_rank_auc(self):
         rng = np.random.default_rng(3)

@@ -19,42 +19,13 @@ from waveflow.flows import (
 )
 from waveflow.masks import make_mask
 
+from helpers import numeric_logabsdet, randomize
+
 LOG_2PI = math.log(2.0 * math.pi)
 
 
 def stdnormal_logp(x: np.ndarray) -> float:
     return float(-0.5 * np.sum(x * x) - 0.5 * LOG_2PI * x.size)
-
-
-def randomize(model: FlowModel, rng: np.random.Generator, scale: float = 0.1) -> None:
-    """Make the model a non-trivial, well-conditioned bijection.
-
-    Perturbation size matters: weights far larger than anything training
-    would produce push activations to 1e4 and amplify float round-off, so
-    keep per-layer gains near one.
-    """
-    for p in model.parameters():
-        p.data[...] = rng.normal(0.0, scale, size=p.data.shape)
-    for layer in model.actnorm_layers():
-        layer.scale.data[...] = np.abs(layer.scale.data) + 0.7
-        layer.initialized = True
-
-
-def numeric_logabsdet(fn, x: np.ndarray, eps: float = 1e-5) -> float:
-    """log|det J| of a flattened bijection via central differences."""
-    d = x.size
-    jac = np.zeros((d, d))
-    flat = x.reshape(-1).copy()
-    for j in range(d):
-        bumped = flat.copy()
-        bumped[j] += eps
-        plus = fn(bumped.reshape(x.shape))
-        bumped[j] -= 2 * eps
-        minus = fn(bumped.reshape(x.shape))
-        jac[:, j] = (plus - minus) / (2 * eps)
-    sign, logdet = np.linalg.slogdet(jac)
-    assert sign != 0, "numerical Jacobian is singular"
-    return float(logdet)
 
 
 def flatten_latents(model: FlowModel, x: np.ndarray, cond=None) -> np.ndarray:
