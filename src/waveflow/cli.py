@@ -6,7 +6,8 @@ outputs, and exits 0 on success — or nonzero with a one-line diagnostic
 on stderr (2 for configuration problems, 1 for runtime failures).
 ``synth`` and ``train`` build their run dataclasses straight from their
 config sections; a value a dataclass's ``validate()`` rejects is a
-configuration problem, reported before any data is read or generated.
+configuration problem, reported before the output directory is made and
+before any data is read or generated.
 
 ``score`` and ``baseline`` share one chunked loop that turns each
 detector's ``ScoreReport`` into a ``scores.csv`` row.
@@ -82,20 +83,31 @@ def _validated(config):
     return config
 
 
-def cmd_synth(cfg: ResolvedConfig, out_dir: Path) -> None:
-    synth = SynthConfig(
-        **cfg.section("synth"),
-        in_dist=LesionProfile(**cfg.section("synth.in_dist")),
-        ood=LesionProfile(**cfg.section("synth.ood")),
+def _output_dir(cfg: ResolvedConfig) -> Path:
+    """Make the run's output directory and write the resolved config into it."""
+    out_dir = Path(cfg.get("run", "out"))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "config.resolved.ini").write_text(cfg.text(), encoding="utf-8")
+    return out_dir
+
+
+def cmd_synth(cfg: ResolvedConfig) -> None:
+    synth = _validated(
+        SynthConfig(
+            **cfg.section("synth"),
+            in_dist=LesionProfile(**cfg.section("synth.in_dist")),
+            ood=LesionProfile(**cfg.section("synth.ood")),
+        )
     )
-    generate_synthetic(_validated(synth), out_dir, threads=cfg.get("run", "threads"))
+    generate_synthetic(synth, _output_dir(cfg), threads=cfg.get("run", "threads"))
 
 
-def cmd_train(cfg: ResolvedConfig, out_dir: Path) -> None:
+def cmd_train(cfg: ResolvedConfig) -> None:
     training = cfg.section("training")
     ranges = {f.name: training.pop(f.name) for f in fields(AugmentConfig)}
     augment = AugmentConfig(**ranges) if training["augment"] else None
     train_config = _validated(TrainConfig(**{**training, "augment": augment}))
+    out_dir = _output_dir(cfg)
     dataset = Path(cfg.get("train", "dataset"))
     manifest = read_manifest(dataset / "manifest.csv")
     images, _ = load_split(manifest, "train")
@@ -219,17 +231,20 @@ def _score_split(cfg: ResolvedConfig, command: str, detector) -> list[dict]:
     return rows
 
 
-def cmd_score(cfg: ResolvedConfig, out_dir: Path) -> None:
+def cmd_score(cfg: ResolvedConfig) -> None:
+    out_dir = _output_dir(cfg)
     model = load_checkpoint(cfg.get("score", "checkpoint"))
     _write_scores(out_dir / "scores.csv", _score_split(cfg, "score", model.score_batch))
 
 
-def cmd_eval(cfg: ResolvedConfig, out_dir: Path) -> None:
+def cmd_eval(cfg: ResolvedConfig) -> None:
+    out_dir = _output_dir(cfg)
     rows = _read_scores(Path(cfg.get("eval", "scores")))
     _evaluate_rows(rows, cfg.get("eval", "bins"), out_dir)
 
 
-def cmd_baseline(cfg: ResolvedConfig, out_dir: Path) -> None:
+def cmd_baseline(cfg: ResolvedConfig) -> None:
+    out_dir = _output_dir(cfg)
     levels = list(cfg.get("baseline", "levels")) or None
     rows = _score_split(
         cfg, "baseline", lambda images: [wavelet_magnitude_score(im, levels=levels) for im in images]
@@ -238,7 +253,8 @@ def cmd_baseline(cfg: ResolvedConfig, out_dir: Path) -> None:
     _evaluate_rows(rows, cfg.get("baseline", "bins"), out_dir)
 
 
-def cmd_sample(cfg: ResolvedConfig, out_dir: Path) -> None:
+def cmd_sample(cfg: ResolvedConfig) -> None:
+    out_dir = _output_dir(cfg)
     model = load_checkpoint(cfg.get("sample", "checkpoint"))
     rng = np.random.default_rng(cfg.get("sample", "seed"))
     temperature = cfg.get("sample", "temperature")
@@ -263,10 +279,7 @@ def main(argv=None) -> int:
         cfg = parse_command_config(
             args.command, args.config, out=args.out, seed=args.seed, threads=args.threads
         )
-        out_dir = Path(cfg.get("run", "out"))
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "config.resolved.ini").write_text(cfg.text(), encoding="utf-8")
-        _DISPATCH[args.command](cfg, out_dir)
+        _DISPATCH[args.command](cfg)
     except ConfigError as exc:  # a ValueError, so it goes first
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ import numpy as np
 
 from .flows import ScoreReport, checked_images
 from .haar import build_pyramid
-from .waveletflow import MIN_SCORING_SIZE
+from .waveletflow import MIN_SCORING_SIZE, levels_to_score
 
 __all__ = [
     "auc",
@@ -135,13 +135,7 @@ def wavelet_magnitude_score(image: np.ndarray, levels: list[int] | None = None) 
         lvl.level_index: float(np.mean(np.abs(lvl.detail))) for lvl in pyramid.levels
     }
     if levels is None:
-        chosen = tuple(
-            sorted(
-                lvl.level_index
-                for lvl in pyramid.levels
-                if lvl.detail.shape[-1] >= MIN_SCORING_SIZE
-            )
-        )
+        chosen = levels_to_score({lvl.level_index: lvl.detail.shape[-1] for lvl in pyramid.levels})
     else:
         chosen = tuple(sorted(levels))
         unknown = set(chosen) - set(magnitudes)

@@ -5,18 +5,24 @@ leaves the pass-through partition untouched, feeds it (plus any
 conditioning channels) to a three-layer 3x3 conv network, and applies
 z = (x + t) * exp(s) on the transformed partition; the layer's
 log-determinant is the sum of s over that partition.  Scales are bounded
-to [-2, 2] with a tanh so exp can never overflow.  A model is a stack of
-(activation-normalization, channel-reversal, coupling) steps, optionally
-wrapped in squeeze/split scales; factored-out halves are scored against
-a standard normal immediately.  Conditioning applies only to single-scale
-(L=1) flows, such as the levels of a wavelet pyramid: every coupling then
-sees the condition at the input resolution.
+to [-2, 2] with a tanh so exp can never overflow.
+
+A model is ``scales``: L lists of K (``ActNorm``, ``AffineCoupling``)
+steps.  A step runs the actnorm, reverses the channel order and runs the
+coupling.  With L > 1 every scale starts with a space-to-depth squeeze
+and all but the last end with a split whose second half is a latent,
+scored against a standard normal; squeeze, reversal and split have no
+parameters and are plain ``autodiff`` ops, not layers of their own.
+Conditioning applies only to single-scale (L=1) flows, such as the levels
+of a wavelet pyramid: every coupling then sees the condition at the input
+resolution.
 
 Shape contract: the graph APIs (``forward_latents``, ``log_prob_graph``,
-``inverse_from_latents``, ``initialize_actnorm`` and every bijector) take
-(N,C,H,W) batches and return one value per sample; a single image is a
-batch with N=1.  ``FlowModel.log_density`` and ``FlowModel.sample`` are the
-single-image entry points: they take and return (C,H,W) arrays.
+``inverse_from_latents``, ``initialize_actnorm`` and the ``forward`` and
+``inverse`` of ``ActNorm`` and ``AffineCoupling``) take (N,C,H,W) batches
+and return one value per sample; a single image is a batch with N=1.
+``FlowModel.log_density`` and ``FlowModel.sample`` are the single-image
+entry points: they take and return (C,H,W) arrays.
 
 Every detector returns one ``ScoreReport`` per image of a batch;
 ``FlowModel.score_batch`` gives a pixel flow's bits/dim, with no levels.
@@ -50,10 +56,7 @@ __all__ = [
     "FlowNumericsError",
     "bits_per_dim",
     "ActNorm",
-    "ChannelReverse",
     "AffineCoupling",
-    "Squeeze",
-    "Split",
     "FlowModel",
     "build_glow",
     "coupling_parameter_count",
@@ -168,19 +171,6 @@ class ActNorm:
         return x, logdet_gen
 
 
-class ChannelReverse:
-    """Fixed channel-order reversal between coupling steps (volume free)."""
-
-    def parameters(self) -> list[ad.Parameter]:
-        return []
-
-    def forward(self, t: ad.Tensor) -> ad.Tensor:
-        return ad.reverse_channels(t)
-
-    def inverse(self, z: np.ndarray) -> np.ndarray:
-        return np.flip(z, axis=1).copy()
-
-
 class AffineCoupling:
     """Masked affine coupling driven by a three-layer 3x3 conv network."""
 
@@ -250,36 +240,12 @@ class AffineCoupling:
         return x, logdet_gen
 
 
-class Squeeze:
-    """Space-to-depth rearrangement: (N, C, 2h, 2w) -> (N, 4C, h, w)."""
-
-    def parameters(self) -> list[ad.Parameter]:
-        return []
-
-    def forward(self, t: ad.Tensor) -> ad.Tensor:
-        return ad.squeeze2x2(t)
-
-    def inverse(self, z: np.ndarray) -> np.ndarray:
-        return ad.unsqueeze2x2_array(z)
-
-
-class Split:
-    """Halve the channels; the second half is scored against N(0, I) now."""
-
-    def parameters(self) -> list[ad.Parameter]:
-        return []
-
-    def forward(self, t: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
-        C = t.data.shape[1]
-        half = C // 2
-        return ad.slice_channels(t, 0, half), ad.slice_channels(t, half, C)
-
-    def inverse(self, kept: np.ndarray, factored: np.ndarray) -> np.ndarray:
-        return np.concatenate([kept, factored], axis=1)
+# One flow step: activation normalization, a channel reversal, a coupling.
+Step = tuple[ActNorm, AffineCoupling]
 
 
 class FlowModel:
-    """A stack of bijectors mapping images to unit-normal latents.
+    """Scales of (actnorm, coupling) steps mapping images to unit-normal latents.
 
     ``latent_shapes`` lists every factored-out latent in the order it is
     produced, with the final latent last; their dimensions always sum to
@@ -292,21 +258,23 @@ class FlowModel:
     def __init__(
         self,
         input_shape: tuple[int, int, int],
-        bijectors: list,
+        scales: list[list[Step]],
         latent_shapes: list[tuple[int, int, int]],
         cond_channels: int = 0,
     ):
         self.input_shape = tuple(input_shape)
-        self.bijectors = bijectors
+        self.scales = scales
         self.latent_shapes = [tuple(s) for s in latent_shapes]
         self.cond_channels = cond_channels
+        assert len(self.latent_shapes) == len(scales)
         assert sum(int(np.prod(s)) for s in self.latent_shapes) == int(np.prod(self.input_shape))
 
+    def steps(self) -> list[Step]:
+        """Every (actnorm, coupling) step in forward order."""
+        return [step for steps in self.scales for step in steps]
+
     def parameters(self) -> list[ad.Parameter]:
-        params: list[ad.Parameter] = []
-        for b in self.bijectors:
-            params.extend(b.parameters())
-        return params
+        return [p for actnorm, coupling in self.steps() for p in actnorm.parameters() + coupling.parameters()]
 
     def components(self) -> dict[str, FlowModel]:
         """A pixel flow trains as one component."""
@@ -316,17 +284,14 @@ class FlowModel:
         return {"flow": (images, None)}
 
     def actnorm_layers(self) -> list[ActNorm]:
-        return [b for b in self.bijectors if isinstance(b, ActNorm)]
+        return [actnorm for actnorm, _ in self.steps()]
 
     def initialize_actnorm(self, batch: np.ndarray, cond: np.ndarray | None = None) -> None:
         """Data-dependent init: run the batch through, initializing each
         activation-normalization layer on its own input."""
         t, cond_t = self._prepare(batch, cond)
         with ad.no_grad():
-            for b in self.bijectors:
-                if isinstance(b, ActNorm) and not b.initialized:
-                    b.initialize(t.data)
-                t = self._apply_forward(b, t, cond_t)[0]
+            self._forward(t, cond_t, initialize=True)
 
     def _prepare(self, x: np.ndarray, cond: np.ndarray | None):
         x = np.asarray(x, dtype=np.float64)
@@ -348,31 +313,54 @@ class FlowModel:
             raise ad.ShapeError(f"condition must be (N,C,H,W), got {cond.shape}")
         return cond
 
-    def _apply_forward(self, bij, t, cond_t):
-        """Returns (next tensor, logdet or None, factored or None)."""
-        if isinstance(bij, AffineCoupling):
-            return (*bij.forward(t, cond_t), None)
-        if isinstance(bij, ActNorm):
-            return (*bij.forward(t), None)
-        if isinstance(bij, Split):
-            kept, factored = bij.forward(t)
-            return kept, None, factored
-        return bij.forward(t), None, None
+    def _forward(self, t: ad.Tensor, cond_t: ad.Tensor | None, initialize: bool = False):
+        """The normalizing traversal: returns (latents, the log-det of each
+        actnorm and coupling in order).  With ``initialize``, every
+        uninitialized actnorm is first initialized on its own input.
+
+        A non-finite output raises ``FlowNumericsError`` with the index of
+        the layer that made it, counting squeezes, actnorms, reversals,
+        couplings and splits in the order they run.
+        """
+        latents: list[ad.Tensor] = []
+        logdets: list[ad.Tensor] = []
+        layer = 0
+
+        def checked(out: ad.Tensor) -> ad.Tensor:
+            nonlocal layer
+            if not np.all(np.isfinite(out.data)):
+                raise FlowNumericsError(layer)
+            layer += 1
+            return out
+
+        last = len(self.scales) - 1
+        for i, steps in enumerate(self.scales):
+            if last > 0:
+                t = checked(ad.squeeze2x2(t))
+            for actnorm, coupling in steps:
+                if initialize and not actnorm.initialized:
+                    actnorm.initialize(t.data)
+                t, ld = actnorm.forward(t)
+                logdets.append(ld)
+                t = checked(t)
+                t = checked(ad.reverse_channels(t))
+                t, ld = coupling.forward(t, cond_t)
+                logdets.append(ld)
+                t = checked(t)
+            if i < last:
+                C = t.data.shape[1]
+                t, factored = ad.slice_channels(t, 0, C // 2), ad.slice_channels(t, C // 2, C)
+                latents.append(factored)
+                t = checked(t)
+        latents.append(t)
+        return latents, logdets
 
     def forward_latents(self, x: np.ndarray, cond: np.ndarray | None = None):
         """Normalizing pass: returns (latents, total logdet) as graph tensors."""
-        t, cond_t = self._prepare(x, cond)
+        latents, logdets = self._forward(*self._prepare(x, cond))
         logdet: ad.Tensor = ad.Tensor(np.zeros(()))
-        latents: list[ad.Tensor] = []
-        for idx, bij in enumerate(self.bijectors):
-            t, ld, factored = self._apply_forward(bij, t, cond_t)
-            if ld is not None:
-                logdet = ad.add(logdet, ld)
-            if factored is not None:
-                latents.append(factored)
-            if not np.all(np.isfinite(t.data)):
-                raise FlowNumericsError(idx)
-        latents.append(t)
+        for ld in logdets:
+            logdet = ad.add(logdet, ld)
         return latents, logdet
 
     def log_prob_graph(self, x: np.ndarray, cond: np.ndarray | None = None) -> ad.Tensor:
@@ -416,21 +404,19 @@ class FlowModel:
                 raise ad.ShapeError(f"latent shape {np.shape(z)} != expected (N,) + {shape}")
         cond = self._condition(cond)
         t = np.asarray(latents[-1], dtype=np.float64)
-        pending = len(latents) - 2  # next factored latent to consume
+        last = len(self.scales) - 1
         logdet_gen: float | np.ndarray = 0.0
         with ad.no_grad():
-            for bij in reversed(self.bijectors):
-                if isinstance(bij, Split):
-                    t = bij.inverse(t, np.asarray(latents[pending], dtype=np.float64))
-                    pending -= 1
-                elif isinstance(bij, AffineCoupling):
-                    t, ld = bij.inverse(t, cond)
+            for i in reversed(range(len(self.scales))):
+                if i < last:
+                    t = np.concatenate([t, np.asarray(latents[i], dtype=np.float64)], axis=1)
+                for actnorm, coupling in reversed(self.scales[i]):
+                    t, ld = coupling.inverse(t, cond)
                     logdet_gen = logdet_gen + ld
-                elif isinstance(bij, ActNorm):
-                    t, ld = bij.inverse(t)
+                    t, ld = actnorm.inverse(np.flip(t, axis=1))
                     logdet_gen = logdet_gen + ld
-                else:
-                    t = bij.inverse(t)
+                if last > 0:
+                    t = ad.unsqueeze2x2_array(t)
         return t, logdet_gen
 
     def sample(
@@ -473,7 +459,7 @@ def build_glow(
         raise ValueError(f"a conditional flow must be single-scale (L=1), got L={L}")
     rng = np.random.default_rng(seed)
     C, H, W = in_channels, image_size, image_size
-    bijectors: list = []
+    scales: list[list[Step]] = []
     latent_shapes: list[tuple[int, int, int]] = []
     step = 0
     for scale in range(L):
@@ -482,25 +468,23 @@ def build_glow(
                 raise ValueError(
                     f"spatial size {H}x{W} too small to squeeze at scale {scale + 1} of {L}"
                 )
-            bijectors.append(Squeeze())
             C, H, W = 4 * C, H // 2, W // 2
+        steps: list[Step] = []
         for _ in range(K):
-            bijectors.append(ActNorm(C, name=f"scale{scale}.step{step}.actnorm"))
-            bijectors.append(ChannelReverse())
+            name = f"scale{scale}.step{step}"
+            actnorm = ActNorm(C, name=f"{name}.actnorm")
             mask = make_mask(mask_strategy, step, (C, H, W))
-            bijectors.append(
-                AffineCoupling(mask, cond_channels, hidden, rng, name=f"scale{scale}.step{step}.coupling")
-            )
+            steps.append((actnorm, AffineCoupling(mask, cond_channels, hidden, rng, name=f"{name}.coupling")))
             step += 1
+        scales.append(steps)
         if scale < L - 1:
             if C < 2:
                 raise ValueError(f"cannot split {C} channels at scale {scale + 1}")
-            bijectors.append(Split())
             half = C // 2
             latent_shapes.append((C - half, H, W))
             C = half
     latent_shapes.append((C, H, W))
-    model = FlowModel((in_channels, image_size, image_size), bijectors, latent_shapes, cond_channels)
+    model = FlowModel((in_channels, image_size, image_size), scales, latent_shapes, cond_channels)
     model.architecture = {
         "K": K,
         "L": L,
@@ -519,7 +503,6 @@ def coupling_parameter_count(model) -> int:
         p.data.size
         for part in model.components().values()
         if isinstance(part, FlowModel)
-        for b in part.bijectors
-        if isinstance(b, AffineCoupling)
-        for p in b.parameters()
+        for _, coupling in part.steps()
+        for p in coupling.parameters()
     )

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .flows import FlowModel, FlowNumericsError
+from .flows import FlowModel, FlowNumericsError, bits_per_dim
 from .haar import build_pyramid  # noqa: F401  (perfbench/tracer.py patches this binding)
 from .waveletflow import GaussianBase, WaveletFlowModel
 
@@ -38,8 +38,6 @@ __all__ = [
     "dequantize",
     "train",
 ]
-
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -228,7 +226,7 @@ def _train_component(
         return -float(np.mean(np.concatenate(lp)))
 
     def record(epoch: int, nll: float) -> EpochRecord:
-        return EpochRecord(epoch, nll, nll / (dims * _LN2), time.perf_counter() - start)
+        return EpochRecord(epoch, nll, bits_per_dim(-nll, dims), time.perf_counter() - start)
 
     nll0 = clean_nll()
     history = TrainHistory(records=[record(0, nll0)])

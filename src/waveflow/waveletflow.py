@@ -34,20 +34,25 @@ import math
 import numpy as np
 
 from . import autodiff as ad
-from .flows import FlowModel, ScoreReport, bits_per_dim, build_glow, checked_images
+from .flows import FlowModel, ScoreReport, _standard_normal_logp, bits_per_dim, build_glow, checked_images
 from .haar import HaarLevel, build_pyramid, haar_inverse
 
 __all__ = [
     "MIN_SCORING_SIZE",
+    "levels_to_score",
     "GaussianBase",
     "WaveletFlowModel",
     "build_waveletflow",
 ]
 
-_LOG_2PI = math.log(2.0 * math.pi)
-
 # Detail grids smaller than this are excluded from the averaged score.
 MIN_SCORING_SIZE = 4
+
+
+def levels_to_score(detail_sizes: dict[int, int]) -> tuple[int, ...]:
+    """The levels, in order, whose detail grid (``detail_sizes`` maps a
+    level to its grid size) is large enough to count towards the score."""
+    return tuple(sorted(level for level, size in detail_sizes.items() if size >= MIN_SCORING_SIZE))
 
 
 class GaussianBase:
@@ -74,8 +79,7 @@ class GaussianBase:
             raise ad.ShapeError(f"base expects (N,) + {self.input_shape}, got {x.shape}")
         # The single-element parameters broadcast as scalars over a batch.
         z = ad.mul(ad.sub(ad.Tensor(x), self.mean), ad.exp(ad.neg(self.log_std)))
-        sq = ad.reduce_sum(ad.mul(z, z), axes=(1, 2, 3))
-        return ad.sub(ad.affine(sq, -0.5, -0.5 * _LOG_2PI), ad.reduce_sum(self.log_std))
+        return ad.sub(_standard_normal_logp(z), ad.reduce_sum(self.log_std))
 
     def sample(self, rng: np.random.Generator, temperature: float = 1.0) -> np.ndarray:
         if temperature <= 0:
@@ -111,9 +115,7 @@ class WaveletFlowModel:
         return self.image_size >> (self.depth - level + 1)
 
     def scoring_levels(self) -> tuple[int, ...]:
-        return tuple(
-            level for level in sorted(self.level_flows) if self.level_size(level) >= MIN_SCORING_SIZE
-        )
+        return levels_to_score({level: self.level_size(level) for level in self.level_flows})
 
     def component_inputs(self, images: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray | None]]:
         """Each component's (inputs, condition) for a (N,1,S,S) batch, from

@@ -137,7 +137,7 @@ class TestConv2d:
     def test_bit_equal_to_padded_reference_on_views_and_score_chunk(self, case):
         rng = np.random.default_rng(5)
         if case == "channel-slice":
-            # Glow's Split passes each half on as a slice_channels view.
+            # Glow's split passes each half on as a slice_channels view.
             full = ad.Parameter("x", rng.standard_normal((3, 8, 4, 4)))
             x = ad.slice_channels(full, 4, 8)
             assert not x.data.flags.c_contiguous

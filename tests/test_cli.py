@@ -482,6 +482,7 @@ class TestErrors:
         assert run_cli(command, "--config", cfg) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and message in err
+        assert not (tmp_path / "o").exists(), "a rejected config left an output directory"
 
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
