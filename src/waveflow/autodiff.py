@@ -259,24 +259,14 @@ def affine(a, scale: float, shift: float = 0.0) -> Tensor:
 
 
 def reduce_sum(a, axes: tuple[int, ...] | None = None) -> Tensor:
+    """Sum over ``axes``, or over every element when they are not given."""
     a = _wrap(a)
-    if axes is None:
-        out = np.sum(a.data)
-
-        def back_all(g):
-            return (np.broadcast_to(g, a.data.shape),)
-
-        return Tensor(out, (a,), back_all)
-    axes = tuple(ax % a.data.ndim for ax in axes)
+    if axes is not None:
+        axes = tuple(ax % a.data.ndim for ax in axes)
     out = np.sum(a.data, axis=axes)
-
-    def back(g):
-        expanded = g
-        for ax in sorted(axes):
-            expanded = np.expand_dims(expanded, ax)
-        return (np.broadcast_to(expanded, a.data.shape),)
-
-    return Tensor(out, (a,), back)
+    return Tensor(
+        out, (a,), lambda g: (np.broadcast_to(g if axes is None else np.expand_dims(g, axes), a.data.shape),)
+    )
 
 
 def _check_batch(data: np.ndarray, op: str) -> None:

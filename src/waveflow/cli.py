@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -159,6 +160,13 @@ def _write_scores(path: Path, rows: list[dict]) -> None:
             writer.writerow([row["path"], row["label"], row["score"], *(row[c] for c in level_cols)])
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"score {text!r} is not finite")
+    return value
+
+
 def _read_scores(path: Path) -> list[dict]:
     try:
         with open(path, encoding="ascii", newline="") as fh:
@@ -181,8 +189,8 @@ def _read_scores(path: Path) -> list[dict]:
         if raw["label"] not in LABELS:
             raise ValueError(f"no scores usable in {path}: unknown label {raw['label']!r}")
         try:
-            row = {"path": raw["path"], "label": raw["label"], "score": float(raw["score"])}
-            row.update((key, float(value)) for key, value in raw.items() if key.startswith("level_"))
+            row = {"path": raw["path"], "label": raw["label"], "score": _finite_float(raw["score"])}
+            row.update((key, _finite_float(value)) for key, value in raw.items() if key.startswith("level_"))
         except ValueError as exc:
             raise ValueError(f"{path} line {line}: {exc}") from exc
         rows.append(row)

@@ -6,13 +6,19 @@ component owns a seeded random stream, so runs are bit-identical given the
 same data, config, and seed.  The monitored quantity is the mean train-set
 NLL on clean (un-augmented, un-dequantized) data; training stops after
 ``patience`` epochs without strict improvement and the best epoch's
-parameters are restored.  A non-finite loss or post-epoch monitored NLL,
-or a ``FlowNumericsError`` from either, aborts the component with the best
-parameters seen so far.  ``model.component_inputs`` splits each batch (one
-Haar pyramid per batch) and the clean set, once per ``train`` call.  The
-monitored NLL and actnorm initialization run without an autodiff graph;
-the monitored NLL runs over the clean set in ``batch_size`` chunks, and
-since every op is per sample it equals the whole-set value bit for bit.
+parameters are restored.  A component is one epoch loop: epoch 0 is its
+first pass, which takes no optimizer step and measures the monitored NLL
+before training.  A non-finite loss or monitored NLL, or a
+``FlowNumericsError`` from any pass, epoch 0's included, aborts the
+component; every abort leaves the loop by one path, which restores the
+best parameters seen so far.  ``train`` takes the images ``score_batch``
+takes (finite, in [0, 1], of the model's image size) and rejects others
+before any component trains.  ``model.component_inputs`` splits each
+batch (one Haar pyramid per batch) and the clean set, once per ``train``
+call.  The monitored NLL and actnorm initialization run without an
+autodiff graph; the monitored NLL runs over the clean set in
+``batch_size`` chunks, and since every op is per sample it equals the
+whole-set value bit for bit.
 """
 from __future__ import annotations
 
@@ -23,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .flows import FlowModel, FlowNumericsError, bits_per_dim
+from .flows import FlowModel, FlowNumericsError, bits_per_dim, checked_images
 from .haar import build_pyramid  # noqa: F401  (perfbench/tracer.py patches this binding)
 from .waveletflow import GaussianBase, WaveletFlowModel
 
@@ -176,13 +182,8 @@ def dequantize(image: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return image * (255.0 / 256.0) + noise
 
 
-def _snapshot(params: list[ad.Parameter]) -> list[np.ndarray]:
-    return [p.data.copy() for p in params]
-
-
-def _restore(params: list[ad.Parameter], snap: list[np.ndarray]) -> None:
-    for p, s in zip(params, snap):
-        p.data[...] = s
+class _NonFinite(Exception):
+    """A training loss or a monitored NLL that is not finite."""
 
 
 def _prepare_images(batch: np.ndarray, rng: np.random.Generator, config: TrainConfig) -> np.ndarray:
@@ -208,66 +209,52 @@ def _train_component(
 ) -> TrainHistory:
     """Shared loop: minimize the mean NLL under ``part`` of ``inputs(batch)``
     over batches of ``images``; ``clean`` is the whole clean set's input,
-    the monitored quantity's."""
+    the monitored quantity's.  Epoch 0 takes no step: its pass measures the
+    monitored NLL before training."""
     start = time.perf_counter()
     parameters = part.parameters()
     dims = int(np.prod(part.input_shape))
-
-    def clean_nll() -> float:
-        # Every op is per sample, so batch-sized chunks give the whole-set
-        # value bit for bit without the whole set's im2col columns at once.
-        x, cond = clean
-        step = config.batch_size
-        with ad.no_grad():
-            lp = [
-                part.log_prob_graph(x[lo : lo + step], None if cond is None else cond[lo : lo + step]).data
-                for lo in range(0, len(x), step)
-            ]
-        return -float(np.mean(np.concatenate(lp)))
-
-    def record(epoch: int, nll: float) -> EpochRecord:
-        return EpochRecord(epoch, nll, bits_per_dim(-nll, dims), time.perf_counter() - start)
-
-    nll0 = clean_nll()
-    history = TrainHistory(records=[record(0, nll0)])
-    best_snap = _snapshot(parameters)
-    stopper = EarlyStopper(config.patience)
-    stopper.update(0, nll0)
     optimizer = ad.Adam(parameters, learning_rate=config.learning_rate)
-    n = len(images)
-
-    def run_epochs() -> bool:
-        """Train until stopping; True when a non-finite value aborted it."""
-        nonlocal best_snap
-        for epoch in range(1, config.max_epochs + 1):
-            order = rng.permutation(n)
-            for lo in range(0, n, config.batch_size):
-                batch = _prepare_images(images[order[lo : lo + config.batch_size]], rng, config)
-                x, cond = inputs(batch)
-                if epoch == 1 and lo == 0:
-                    part.initialize_actnorm(x, cond)
-                lp = part.log_prob_graph(x, cond)
-                loss = ad.affine(ad.reduce_sum(lp), -1.0 / len(x))
-                if not np.isfinite(loss.data):
-                    return True
-                loss.backward()
-                optimizer.step()
-            nll = clean_nll()
-            history.records.append(record(epoch, nll))
+    stopper = EarlyStopper(config.patience)
+    history = TrainHistory(records=[])
+    best: list[np.ndarray] = []  # epoch 0 takes no step, so aborting there restores nothing
+    clean_x, clean_cond = clean
+    step = config.batch_size
+    try:
+        for epoch in range(config.max_epochs + 1):
+            if epoch > 0:
+                order = rng.permutation(len(images))
+                for lo in range(0, len(images), step):
+                    x, cond = inputs(_prepare_images(images[order[lo : lo + step]], rng, config))
+                    if epoch == 1 and lo == 0:
+                        part.initialize_actnorm(x, cond)
+                    loss = ad.affine(ad.reduce_sum(part.log_prob_graph(x, cond)), -1.0 / len(x))
+                    if not np.isfinite(loss.data):
+                        raise _NonFinite
+                    loss.backward()
+                    optimizer.step()
+            # Every op is per sample, so batch-sized chunks give the whole-set
+            # value bit for bit without the whole set's im2col columns at once.
+            with ad.no_grad():
+                lp = [
+                    part.log_prob_graph(
+                        clean_x[lo : lo + step], None if clean_cond is None else clean_cond[lo : lo + step]
+                    ).data
+                    for lo in range(0, len(clean_x), step)
+                ]
+            nll = -float(np.mean(np.concatenate(lp)))
+            history.records.append(EpochRecord(epoch, nll, bits_per_dim(-nll, dims), time.perf_counter() - start))
             if not np.isfinite(nll):
-                return True
+                raise _NonFinite
             improved, stop = stopper.update(epoch, nll)
             if improved:
-                best_snap = _snapshot(parameters)
+                best = [p.data.copy() for p in parameters]
             if stop:
                 break
-        return False
-
-    try:
-        history.aborted = run_epochs()
-    except FlowNumericsError:
+    except (_NonFinite, FlowNumericsError):
         history.aborted = True
-    _restore(parameters, best_snap)
+    for p, saved in zip(parameters, best):
+        p.data[...] = saved
     history.best_epoch = stopper.best_epoch
     return history
 
@@ -290,7 +277,8 @@ def train(
     config: TrainConfig,
     levels: list[int] | None = None,
 ) -> dict[str, TrainHistory]:
-    """Fit a pixel flow or a pyramid model on a stack of (1,S,S) images.
+    """Fit a pixel flow or a pyramid model on a stack of (1,S,S) images,
+    finite and in [0, 1] like ``score_batch``'s.
 
     Each of ``model.components()`` trains independently; ``levels``
     restricts training to a subset of a pyramid model's components (0 means
@@ -308,6 +296,7 @@ def train(
     size = model.architecture["image_size"]
     if images.shape[-1] != size:
         raise ValueError(f"images are {images.shape[-1]} px but the model expects {size}")
+    images = checked_images(images, (1, size, size))
     parts = {name: (part, _component_level(name)) for name, part in model.components().items()}
     if levels is not None:
         known = sorted(level for _, level in parts.values() if level is not None)

@@ -96,7 +96,6 @@ class WaveletFlowModel:
 
     def __init__(self, image_size: int, level_flows: dict[int, FlowModel], base: GaussianBase):
         self.image_size = image_size
-        self.depth = int(math.log2(image_size))
         self.level_flows = level_flows
         self.base = base
 
@@ -110,12 +109,8 @@ class WaveletFlowModel:
     def parameters(self) -> list[ad.Parameter]:
         return [p for part in self.components().values() for p in part.parameters()]
 
-    def level_size(self, level: int) -> int:
-        """Detail grid size of a level (coarsest level is 1)."""
-        return self.image_size >> (self.depth - level + 1)
-
     def scoring_levels(self) -> tuple[int, ...]:
-        return levels_to_score({level: self.level_size(level) for level in self.level_flows})
+        return levels_to_score({level: flow.input_shape[-1] for level, flow in self.level_flows.items()})
 
     def component_inputs(self, images: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray | None]]:
         """Each component's (inputs, condition) for a (N,1,S,S) batch, from

@@ -1,6 +1,9 @@
 """Oracles shared by several test modules: a random well-conditioned flow,
-a central-difference log-determinant, and a brute-force pairwise AUC."""
+a central-difference log-determinant, a brute-force pairwise AUC, and the
+SHA-256 digest of float64 arrays that bit-exact pins compare."""
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 
@@ -46,3 +49,11 @@ def pairwise_auc(id_scores, ood_scores) -> float:
             wins += o > i
             ties += o == i
     return (wins + 0.5 * ties) / (len(id_scores) * len(ood_scores))
+
+
+def digest(*arrays) -> str:
+    """SHA-256 of the arrays' float64 bytes, in order."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from waveflow.checkpoint import load_checkpoint
+from waveflow.cli import main as waveflow_main
+from waveflow.flows import build_glow
 from waveflow.waveletflow import WaveletFlowModel, build_waveletflow
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -61,3 +63,35 @@ def test_benchmark_score_fn_scores_both_families(family, monkeypatch):
     assert value == expected
     # The benchmark's per-image path and the CLI's batch path agree.
     assert value == model.score_batch(x[None])[0].score
+
+
+def test_benchmark_components_cover_both_families(monkeypatch):
+    """perfbench/layers.py reads each component's seconds by name."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    size = importlib.import_module("run").IMAGE_SIZE
+    names = set(build_waveletflow(size, steps_per_level=1, hidden=2).components())
+    names |= set(build_glow(K=1, L=2, in_channels=1, image_size=size, hidden=2).components())
+    assert set(layers.COMPONENTS) == names
+
+
+@pytest.mark.parametrize("workload", ["train-wf", "train-glow"])
+def test_benchmark_check_training_accepts_a_train_output(workload, tmp_path, monkeypatch):
+    """perfbench/run.py reads training.json and history.csv of ``waveflow
+    train`` run with its own [train] and [training] sections."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = importlib.import_module("run")
+    data = tmp_path / "data"
+    synth = {"image_size": 8, "train_in_dist": 8, "test_in_dist": 2, "test_ood": 2, "seed": 0}
+    synth_ini = run.write_ini(tmp_path / "synth.ini", {"run": {"out": data, "threads": 1}, "synth": synth})
+    assert waveflow_main(["synth", "--config", str(synth_ini)]) == 0
+    epochs = 2
+    bench = run.Run(run.WORKLOADS[workload], seed=0, nproc=1, run_dir=tmp_path)
+    train_ini = bench.train_ini(tmp_path / "train.ini", data, epochs)  # patience = epochs + 1
+    assert waveflow_main(["train", "--config", str(train_ini), "--out", str(tmp_path / "model")]) == 0
+    checks = run.Checks()
+    training = run.check_training(tmp_path / "model", epochs, checks)
+    assert checks.failures == []
+    assert checks.attempted == 2 * len(training["component_s"])
+    assert training["epochs"] == epochs * len(training["component_s"])
+    assert training["aborted"] == 0

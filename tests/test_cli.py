@@ -372,7 +372,14 @@ class TestEval:
         assert "line 3" in err
 
     @pytest.mark.parametrize(
-        "header, row", [("score", "a.pgm,in_dist,abc"), ("score,level_1", "a.pgm,in_dist,1.0,x")], ids=["score", "level"]
+        "header, row",
+        [
+            ("score", "a.pgm,in_dist,abc"),
+            ("score,level_1", "a.pgm,in_dist,1.0,x"),
+            ("score", "a.pgm,in_dist,nan"),
+            ("score,level_1", "a.pgm,in_dist,1.0,inf"),
+        ],
+        ids=["score", "level", "score-nan", "level-inf"],
     )
     def test_non_numeric_score_names_the_file_and_line(self, tmp_path, capsys, header, row):
         scores = tmp_path / "scores.csv"

@@ -8,7 +8,6 @@ and a split; the WaveletFlow level is a conditional single-scale flow of
 two steps."""
 from __future__ import annotations
 
-import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -17,18 +16,13 @@ import pytest
 from waveflow import autodiff as ad
 from waveflow.checkpoint import load_checkpoint
 
+from helpers import digest
+
 DATA = Path(__file__).resolve().parent / "data"
 
 # At 3 samples, summing the latent terms or the log-dets in another order
 # happens to round to the same bits; at 16 both reorders change the digest.
 BATCH = 16
-
-
-def digest(*arrays: np.ndarray) -> str:
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
-    return h.hexdigest()
 
 
 def glow_flow():

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import itertools
 import math
 
@@ -18,6 +19,8 @@ from waveflow.train import (
     train,
 )
 from waveflow.waveletflow import build_waveletflow
+
+from helpers import digest
 
 IDENTITY_AUG = AugmentConfig(
     rotation=(0.0, 0.0), translation=(0.0, 0.0), scaling=(1.0, 1.0), shear=(0.0, 0.0)
@@ -256,6 +259,41 @@ class TestComponentLoop:
         assert len(history.records) == 1
         assert param.data[0] == 3.5  # the epoch's steps are undone
 
+    def test_abort_on_non_finite_epoch_zero_nll(self):
+        steps = {"n": 0}
+        param = ad.Parameter("w", np.array([4.5]))
+
+        def log_prob(x, cond):
+            if monitoring():
+                return ad.Tensor(np.full(len(x), np.nan))
+            steps["n"] += 1
+            return ad.mul(ad.Tensor(np.full(len(x), -1.0)), param)
+
+        history = self._run(log_prob, param)
+        assert history.aborted
+        assert history.best_epoch == 0
+        assert [r.epoch for r in history.records] == [0]
+        assert math.isnan(history.records[0].nll)
+        assert steps["n"] == 0  # no optimizer step was taken
+        assert param.data[0] == 4.5
+
+    def test_abort_on_numerics_error_at_epoch_zero(self):
+        steps = {"n": 0}
+        param = ad.Parameter("w", np.array([5.5]))
+
+        def log_prob(x, cond):
+            if monitoring():
+                raise FlowNumericsError(0)
+            steps["n"] += 1
+            return ad.mul(ad.Tensor(np.full(len(x), -1.0)), param)
+
+        history = self._run(log_prob, param)
+        assert history.aborted
+        assert history.best_epoch == 0
+        assert history.records == []  # epoch 0's NLL was never measured
+        assert steps["n"] == 0
+        assert param.data[0] == 5.5
+
     def test_epoch_zero_is_pre_training(self):
         calls = []
         param = ad.Parameter("w", np.array([0.0]))
@@ -273,6 +311,45 @@ class TestComponentLoop:
         assert history.records[0].epoch == 0
         assert history.records[0].nll == 2.0
         assert history.records[0].bpd == pytest.approx(2.0 / (4 * math.log(2)))
+
+
+class TestTrainingBits:
+    """Bit-exact pins of a short training run with augmentation and
+    dequantization on: every parameter after the best epochs are restored
+    and every component's (epoch, nll) records, as SHA-256 of the float64
+    bytes.  A reordered random draw, op or snapshot changes a digest; at
+    this learning rate level2's best epoch is 1, so the restore is pinned
+    too."""
+
+    BUILDS = {
+        "waveletflow": lambda: build_waveletflow(8, steps_per_level=1, hidden=8, seed=1),
+        "glow": lambda: build_glow(K=1, L=2, in_channels=1, image_size=8, hidden=8, seed=1),
+    }
+    PINNED = {
+        "waveletflow": (
+            "85be1b078ab321396aa528f795755f2f341f04c76cf636c13852bcbdebeda8d5",
+            "c41ee46b747ddddf405c1505c4dc12a1769a3d5c666d0996db532974d12d4ccc",
+            {"base": 2, "level1": 2, "level2": 1, "level3": 2},
+        ),
+        "glow": (
+            "dfe148b8d5b6e17177d6702703de7e97eb13d563c4c65639d484067e711ce172",
+            "950b97b129d0d5789c2075a3d0fd96ffb938fcd91c483f434297619d213594ef",
+            {"flow": 2},
+        ),
+    }
+
+    @pytest.mark.parametrize("family", sorted(BUILDS))
+    def test_parameters_and_records_are_pinned(self, family):
+        model = self.BUILDS[family]()
+        cfg = TrainConfig(
+            learning_rate=3e-2, batch_size=6, max_epochs=2, augment=AugmentConfig(), dequantize=True, seed=4
+        )
+        histories = train(model, make_blobs(12, 8, seed=5), cfg)
+        params, records, best = self.PINNED[family]
+        assert {name: h.best_epoch for name, h in histories.items()} == best
+        assert not any(h.aborted for h in histories.values())
+        assert digest(*[[(r.epoch, r.nll) for r in h.records] for h in histories.values()]) == records
+        assert digest(*[p.data for p in model.parameters()]) == params
 
 
 class TestMonitoredNll:
@@ -412,6 +489,21 @@ class TestWaveletTraining:
         model = build_waveletflow(8, steps_per_level=1, hidden=8, seed=1)
         with pytest.raises(ValueError, match="unknown level"):
             train(model, images, self._config(), levels=[9])
+
+    @pytest.mark.parametrize("bad", [math.nan, 1.5], ids=["nan", "above-one"])
+    def test_images_score_batch_rejects_are_rejected_before_training(self, bad, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a component trained")
+
+        # The package's ``train`` attribute is the function, so fetch the module.
+        monkeypatch.setattr(importlib.import_module("waveflow.train"), "_train_component", no_training)
+        images = make_blobs(4, 8, seed=3)
+        images[1, 0, 2, 5] = bad
+        model = build_waveletflow(8, steps_per_level=1, hidden=8, seed=1)
+        with pytest.raises(ValueError, match="non-finite|lie in"):
+            train(model, images, self._config())
+        with pytest.raises(ValueError, match="non-finite|lie in"):
+            model.score_batch(images)
 
     def test_wrong_image_size_rejected(self):
         model = build_waveletflow(8, steps_per_level=1, hidden=8, seed=1)

@@ -46,7 +46,9 @@ class TestConstruction:
     def test_level_layout_for_size_32(self):
         model = build_waveletflow(image_size=32, steps_per_level=1, hidden=4)
         assert sorted(model.level_flows) == [1, 2, 3, 4, 5]
-        assert [model.level_size(level) for level in [1, 2, 3, 4, 5]] == [1, 2, 4, 8, 16]
+        assert [model.level_flows[level].input_shape[1:] for level in [1, 2, 3, 4, 5]] == [
+            (size, size) for size in [1, 2, 4, 8, 16]
+        ]
         assert model.scoring_levels() == (3, 4, 5)
         for flow in model.level_flows.values():
             assert flow.architecture["L"] == 1
