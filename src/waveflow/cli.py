@@ -71,7 +71,7 @@ def _parse_args(argv):
         p.add_argument("--config", required=True, help="path to the run config file")
         p.add_argument("--out", help="output directory (overrides [run] out)")
         p.add_argument("--seed", type=int, help="override the command's seed")
-        p.add_argument("--threads", type=int, help="worker cap for synth (overrides [run] threads)")
+        p.add_argument("--threads", type=int, help="worker cap for synth and train (overrides [run] threads)")
     return parser.parse_args(argv)
 
 
@@ -123,7 +123,7 @@ def cmd_train(cfg: ResolvedConfig) -> None:
         model = build_waveletflow(steps_per_level=cfg.get("train", "K"), **layout)
     else:
         model = build_glow(K=cfg.get("train", "K"), L=cfg.get("train", "L"), in_channels=1, **layout)
-    histories = train(model, images, train_config)
+    histories = train(model, images, train_config, workers=cfg.get("run", "threads"))
     save_checkpoint(model, out_dir / "checkpoint.json")
     with open(out_dir / "history.csv", "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

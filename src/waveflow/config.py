@@ -130,9 +130,17 @@ def _profile_schema(profile: LesionProfile) -> dict[str, Field]:
     )
 
 
+def _usable_cores() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 _RUN_SECTION = {
     "out": Field(_str, ""),
-    "threads": Field(_count, 1),
+    "threads": Field(_count, _usable_cores()),
 }
 
 _SYNTH = SynthConfig()

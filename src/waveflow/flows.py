@@ -73,6 +73,9 @@ class FlowNumericsError(ArithmeticError):
         self.layer_index = layer_index
         super().__init__(message or f"non-finite values after flow layer {layer_index}")
 
+    def __reduce__(self):  # pickles, e.g. out of a training worker, with its index
+        return type(self), (self.layer_index, str(self)), self.__dict__
+
 
 @dataclass(frozen=True)
 class LogDensity:

@@ -1,10 +1,19 @@
 """Maximum-likelihood training with affine augmentation and early stopping.
 
-A model trains one component at a time, in ``model.components()`` order
-(a pyramid model's residue model and level flows; Glow's one flow).  Every
-component owns a seeded random stream, so runs are bit-identical given the
-same data, config, and seed.  The monitored quantity is the mean train-set
-NLL on clean (un-augmented, un-dequantized) data; training stops after
+A model's components (a pyramid model's residue model and level flows;
+Glow's one flow) train independently.  Every component owns a seeded
+random stream, so runs are bit-identical given the same data, config, and
+seed, whichever process trains a component and in whatever order.
+``train(..., workers=n)`` splits the components into up to ``n`` bins,
+longest first by input size.  The calling process trains the bin with
+the heaviest component, each other bin trains in a ``spawn``-started
+worker, all on one BLAS thread, and the parent writes the workers'
+parameters and actnorm state back into its model.  One bin
+(``workers=1``, or a one-component Glow model) trains in the calling
+process, in ``components()`` order, with BLAS untouched.
+
+The monitored quantity is the mean train-set NLL on clean
+(un-augmented, un-dequantized) data; training stops after
 ``patience`` epochs without strict improvement and the best epoch's
 parameters are restored.  A component is one epoch loop: epoch 0 is its
 first pass, which takes no optimizer step and measures the monitored NLL
@@ -14,16 +23,25 @@ component; every abort leaves the loop by one path, which restores the
 best parameters seen so far.  ``train`` takes the images ``score_batch``
 takes (finite, in [0, 1], of the model's image size) and rejects others
 before any component trains.  ``model.component_inputs`` splits each
-batch (one Haar pyramid per batch) and the clean set, once per ``train``
-call.  The monitored NLL and actnorm initialization run without an
+batch (one Haar pyramid per batch) and the clean set, once per process
+that trains.  The monitored NLL and actnorm initialization run without an
 autodiff graph; the monitored NLL runs over the clean set in
 ``batch_size`` chunks, and since every op is per sample it equals the
 whole-set value bit for bit.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import math
+import multiprocessing
+import os
+import pickle
+import tempfile
 import time
+import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -271,21 +289,178 @@ def _component_level(name: str) -> int | None:
     return 0 if name == "base" else int(name.removeprefix("level"))
 
 
+def _train_parts(
+    model: FlowModel | WaveletFlowModel, names: list[str], images: np.ndarray, config: TrainConfig
+) -> dict[str, TrainHistory]:
+    """Train the named components one after another in this process."""
+    parts = model.components()
+    clean = model.component_inputs(images)  # shared by every component's monitored NLL
+    histories = {}
+    for name in names:
+        level = _component_level(name)
+        histories[name] = _train_component(
+            parts[name],
+            inputs=lambda batch, name=name: model.component_inputs(batch)[name],
+            images=images,
+            clean=clean[name],
+            config=config,
+            rng=np.random.default_rng([config.seed, _FLOW_STREAM if level is None else level]),
+        )
+    return histories
+
+
+def _bins(parts: dict[str, FlowModel | GaussianBase], workers: int) -> list[list[str]]:
+    """Split the component names into ``min(workers, len(parts))`` bins,
+    longest first, each into the least loaded bin; a part's cost is the
+    size of its input.  Bin 0 holds the heaviest component."""
+    cost = {name: math.prod(part.input_shape) for name, part in parts.items()}
+    bins: list[list[str]] = [[] for _ in range(min(workers, len(parts)))]
+    loads = [0] * len(bins)
+    for name in sorted(cost, key=cost.get, reverse=True):
+        i = loads.index(min(loads))
+        bins[i].append(name)
+        loads[i] += cost[name]
+    return bins
+
+
+# Thread-count (getter, setter) symbols of numpy's bundled OpenBLAS, newest first.
+_BLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas() -> tuple | None:
+    """The thread-count getter and setter of the OpenBLAS numpy bundles,
+    or None where there is none."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for get, set_ in _BLAS_SYMBOLS:
+            if hasattr(lib, get) and hasattr(lib, set_):
+                getter, setter = getattr(lib, get), getattr(lib, set_)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return getter, setter
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS on one thread, then restore its thread
+    count; a no-op without OpenBLAS."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+def _state(part: FlowModel | GaussianBase) -> tuple[list[np.ndarray], list[tuple[bool, list[str]]]]:
+    """What training changes in a part: its parameter arrays and each
+    actnorm layer's ``initialized`` flag and ``warnings``."""
+    return [p.data for p in part.parameters()], [(a.initialized, a.warnings) for a in part.actnorm_layers()]
+
+
+def _worker(payload: str, conn) -> None:
+    """Train the components a payload file names, on one BLAS thread, and
+    send back their histories and states, or the exception that stopped them."""
+    try:
+        with open(payload, "rb") as fh:
+            model, names, images, config = pickle.load(fh)
+        with _one_blas_thread():
+            histories = _train_parts(model, names, images, config)
+        parts = model.components()
+        message = ("trained", histories, {name: _state(parts[name]) for name in names})
+    except Exception as exc:  # re-raised by the caller, with the worker's traceback as a note
+        exc.add_note(f"raised in a training worker:\n{traceback.format_exc()}")
+        message = ("raised", exc)
+    conn.send(message)
+    conn.close()
+
+
+def _train_in_processes(
+    model: FlowModel | WaveletFlowModel, bins: list[list[str]], images: np.ndarray, config: TrainConfig
+) -> dict[str, TrainHistory]:
+    """Train bin 0 here and every other bin in its own spawned process.
+
+    Each worker's payload is pickled into a private temporary directory,
+    so a process starts with only the file's path and a pipe end.  On any
+    exit every worker is terminated and joined before the directory goes.
+    """
+    ctx = multiprocessing.get_context("spawn")
+    histories: dict[str, TrainHistory] = {}
+    states = {}
+    with tempfile.TemporaryDirectory(prefix="waveflow-train-") as tmp:
+        workers = []
+        try:
+            for index, names in enumerate(bins[1:], start=1):
+                payload = os.path.join(tmp, f"bin{index}.pickle")
+                with open(payload, "wb") as fh:
+                    pickle.dump((model, names, images, config), fh, protocol=pickle.HIGHEST_PROTOCOL)
+                receive, send = ctx.Pipe(duplex=False)
+                process = ctx.Process(target=_worker, args=(payload, send), daemon=True)
+                process.start()
+                send.close()
+                workers.append((names, process, receive))
+            with _one_blas_thread():
+                histories.update(_train_parts(model, bins[0], images, config))
+            for names, process, receive in workers:
+                try:
+                    message = receive.recv()
+                except (EOFError, OSError):
+                    process.join()
+                    raise ChildProcessError(
+                        f"training worker for {', '.join(names)} exited with code {process.exitcode}"
+                    ) from None
+                if message[0] == "raised":
+                    raise message[1]
+                histories.update(message[1])
+                states.update(message[2])
+        finally:
+            for _, process, receive in workers:
+                if process.is_alive():
+                    process.terminate()
+                process.join()
+                receive.close()
+    for name, part in model.components().items():
+        if name in states:
+            arrays, actnorms = states[name]
+            for p, data in zip(part.parameters(), arrays):
+                p.data[...] = data
+            for layer, (initialized, warnings) in zip(part.actnorm_layers(), actnorms):
+                layer.initialized, layer.warnings = initialized, warnings
+    return histories
+
+
 def train(
     model: FlowModel | WaveletFlowModel,
     images: np.ndarray,
     config: TrainConfig,
     levels: list[int] | None = None,
+    workers: int = 1,
 ) -> dict[str, TrainHistory]:
     """Fit a pixel flow or a pyramid model on a stack of (1,S,S) images,
     finite and in [0, 1] like ``score_batch``'s.
 
     Each of ``model.components()`` trains independently; ``levels``
     restricts training to a subset of a pyramid model's components (0 means
-    the base residue model; a pixel flow has no levels).  Returns one
-    history per trained component, keyed 'flow', 'base', 'level<i>'.
+    the base residue model; a pixel flow has no levels).  ``workers`` caps
+    the processes training at once: the components are split into that
+    many bins, and every bin but the heaviest trains in a spawned process;
+    the result is the same for any value.  Returns one history per trained
+    component, keyed 'flow', 'base', 'level<i>', in ``components()`` order.
     """
     config.validate()
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 4 or images.shape[1] != 1:
         raise ValueError(f"expected images of shape (N,1,S,S), got {images.shape}")
@@ -297,22 +472,15 @@ def train(
     if images.shape[-1] != size:
         raise ValueError(f"images are {images.shape[-1]} px but the model expects {size}")
     images = checked_images(images, (1, size, size))
-    parts = {name: (part, _component_level(name)) for name, part in model.components().items()}
+    parts = model.components()
     if levels is not None:
-        known = sorted(level for _, level in parts.values() if level is not None)
+        known = sorted(level for level in map(_component_level, parts) if level is not None)
         unknown = set(levels) - set(known)
         if unknown:
             raise ValueError(f"unknown levels {sorted(unknown)}; the model's levels are {known}")
-        parts = {name: (part, level) for name, (part, level) in parts.items() if level in levels}
-    clean = model.component_inputs(images)  # shared by every component's monitored NLL
-    return {
-        name: _train_component(
-            part,
-            inputs=lambda batch, name=name: model.component_inputs(batch)[name],
-            images=images,
-            clean=clean[name],
-            config=config,
-            rng=np.random.default_rng([config.seed, _FLOW_STREAM if level is None else level]),
-        )
-        for name, (part, level) in parts.items()
-    }
+        parts = {name: part for name, part in parts.items() if _component_level(name) in levels}
+    bins = _bins(parts, workers)
+    if len(bins) <= 1:
+        return _train_parts(model, list(parts), images, config)
+    histories = _train_in_processes(model, bins, images, config)
+    return {name: histories[name] for name in parts}

@@ -1,13 +1,21 @@
 """Oracles shared by several test modules: a random well-conditioned flow,
-a central-difference log-determinant, a brute-force pairwise AUC, and the
-SHA-256 digest of float64 arrays that bit-exact pins compare."""
+a central-difference log-determinant, a brute-force pairwise AUC, the
+SHA-256 digest of float64 arrays that bit-exact pins compare, a residue
+model that fails when it trains, and the usable core count that is the
+default of ``[run] threads``."""
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
+import os
 
 import numpy as np
 
 from waveflow.flows import FlowModel
+from waveflow.waveletflow import GaussianBase
+
+# The CPUs this process may run on.
+USABLE_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
 def randomize(model: FlowModel, rng: np.random.Generator, scale: float = 0.1) -> None:
@@ -57,3 +65,20 @@ def digest(*arrays) -> str:
     for a in arrays:
         h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
     return h.hexdigest()
+
+
+class FaultyBase(GaussianBase):
+    """A pyramid residue model whose first pass fails: it raises
+    ``LookupError``, or with ``exit_code`` set and inside a worker process
+    it ends that process with the code.  ``input_shape`` sets its training
+    cost, which decides whether it trains in a worker or in the caller."""
+
+    def __init__(self, exit_code: int | None = None, input_shape: tuple[int, ...] = (1, 1, 1)):
+        super().__init__()
+        self.exit_code = exit_code
+        self.input_shape = input_shape
+
+    def log_prob_graph(self, x, cond=None):
+        if self.exit_code is not None and multiprocessing.parent_process() is not None:
+            os._exit(self.exit_code)
+        raise LookupError("the faulty base failed")

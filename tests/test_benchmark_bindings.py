@@ -13,6 +13,7 @@ import pytest
 from waveflow.checkpoint import load_checkpoint
 from waveflow.cli import main as waveflow_main
 from waveflow.flows import build_glow
+from waveflow.train import TrainConfig
 from waveflow.waveletflow import WaveletFlowModel, build_waveletflow
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -32,6 +33,24 @@ def test_tracer_patches_every_binding_and_restores_them(monkeypatch):
     assert len(patches) == EXPECTED_PATCHES
     assert all(now is not original for now, (_, _, original) in zip(wrapped, patches))
     assert trace._patches == []
+    for owner, attr, original in patches:
+        assert getattr(owner, attr) is original, f"{owner}.{attr} was not restored"
+
+
+def test_training_workers_start_under_the_tracer(monkeypatch):
+    """A traced pass trains through spawned workers: what a worker is handed
+    must pickle by reference although the tracer has replaced bindings."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    trace = tracer.Tracer()
+    model = build_waveletflow(8, steps_per_level=1, hidden=2, seed=0)
+    images = np.random.default_rng(0).random((6, 1, 8, 8))
+    train_module = importlib.import_module("waveflow.train")  # the package attribute is the function
+    with tracer.traced(trace):
+        patches = list(trace._patches)
+        histories = train_module.train(model, images, TrainConfig(batch_size=6, max_epochs=1), workers=2)
+    assert list(histories) == list(model.components())
+    assert trace.summary()["train.train"]["calls"] == 1
     for owner, attr, original in patches:
         assert getattr(owner, attr) is original, f"{owner}.{attr} was not restored"
 

@@ -25,6 +25,8 @@ from waveflow.flows import FlowModel
 from waveflow.train import TrainConfig
 from waveflow.waveletflow import WaveletFlowModel
 
+from helpers import USABLE_CORES
+
 DATA = Path(__file__).resolve().parent / "data"
 
 SYNTH_CFG = """
@@ -149,6 +151,13 @@ class TestTrain:
         assert set(summary) == components
         assert not any(entry["aborted"] for entry in summary.values())
 
+    def test_outputs_are_byte_identical_for_any_threads(self, pipeline, tmp_path):
+        cfg = write_cfg(tmp_path / "t.ini", TRAIN_CFG, out=tmp_path / "unused", dataset=pipeline["data"])
+        for threads in ("1", "2"):
+            assert run_cli("train", "--config", cfg, "--out", str(tmp_path / threads), "--threads", threads) == 0
+        for name in ("checkpoint.json", "training.json"):
+            assert digest(tmp_path / "1" / name) == digest(tmp_path / "2" / name), name
+
     def test_glow_family(self, pipeline, tmp_path):
         out = tmp_path / "glow_run"
         cfg = write_cfg(
@@ -176,13 +185,15 @@ class TestTrain:
     def test_cli_defaults_are_the_dataclass_defaults(self, pipeline, tmp_path, monkeypatch):
         built = {}
         monkeypatch.setattr(cli, "generate_synthetic", lambda synth, out, threads: built.update(synth=synth))
-        monkeypatch.setattr(cli, "train", lambda model, images, config: built.update(train=config) or {})
+        monkeypatch.setattr(
+            cli, "train", lambda model, images, config, workers: built.update(train=config, workers=workers) or {}
+        )
         cfg = write_cfg(tmp_path / "s.ini", "[run]\nout = {out}\n", out=tmp_path / "s")
         assert run_cli("synth", "--config", cfg) == 0
         text = "[run]\nout = {out}\n[train]\ndataset = {dataset}\n"
         cfg = write_cfg(tmp_path / "t.ini", text, out=tmp_path / "t", dataset=pipeline["data"])
         assert run_cli("train", "--config", cfg) == 0
-        assert built == {"synth": SynthConfig(), "train": TrainConfig()}
+        assert built == {"synth": SynthConfig(), "train": TrainConfig(), "workers": USABLE_CORES}
 
     def test_ood_in_train_manifest_fails(self, tmp_path):
         data = tmp_path / "bad"

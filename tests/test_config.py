@@ -4,6 +4,8 @@ import pytest
 
 from waveflow.config import COMMANDS, ConfigError, parse_command_config
 
+from helpers import USABLE_CORES
+
 
 def write(tmp_path, text, name="run.ini"):
     path = tmp_path / name
@@ -16,7 +18,7 @@ class TestParsing:
         path = write(tmp_path, "[run]\nout = outdir\n")
         cfg = parse_command_config("synth", path)
         assert cfg.get("run", "out") == "outdir"
-        assert cfg.get("run", "threads") == 1
+        assert cfg.get("run", "threads") == USABLE_CORES
         assert cfg.get("synth", "image_size") == 32
         assert cfg.get("synth", "brightness") == (0.62, 0.88)
         assert cfg.get("synth.ood", "hair_strokes") == (0, 2)
@@ -166,7 +168,9 @@ class TestResolvedText:
             assert needle in text
 
     # SHA-256 of the text each command resolves from a config that sets only
-    # [run] out and the command's required keys: it pins every default.
+    # [run] out and the command's required keys: it pins every default.  The
+    # threads line is the usable core count, checked exactly, and hashed as
+    # "threads = 1" so the digests hold on every machine.
     MINIMAL = {
         "synth": "",
         "train": "[train]\ndataset = d\n",
@@ -187,7 +191,9 @@ class TestResolvedText:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_default_rendering_is_pinned(self, command, tmp_path):
         path = write(tmp_path, "[run]\nout = o\n" + self.MINIMAL[command])
-        text = parse_command_config(command, path).text()
+        lines = parse_command_config(command, path).text().split("\n")
+        lines[lines.index(f"threads = {USABLE_CORES}")] = "threads = 1"
+        text = "\n".join(lines)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.DEFAULT_TEXT_SHA256[command], text
 
     def test_section_is_keyword_arguments_in_schema_order(self, tmp_path):

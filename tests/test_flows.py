@@ -3,6 +3,7 @@ against a numerical Jacobian, conditioning, and sampling."""
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -262,6 +263,9 @@ class TestModelPlumbing:
         with pytest.raises(FlowNumericsError) as err:
             model.log_prob_graph(np.zeros((1, 2, 4, 4)))
         assert err.value.layer_index == 5
+        # A training worker sends its exception back pickled.
+        again = pickle.loads(pickle.dumps(err.value))
+        assert (type(again), again.layer_index, str(again)) == (FlowNumericsError, 5, str(err.value))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_image_rejected_before_any_layer(self, bad):

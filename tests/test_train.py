@@ -2,6 +2,9 @@ import dataclasses
 import importlib
 import itertools
 import math
+import multiprocessing
+import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -12,6 +15,8 @@ from waveflow.train import (
     AugmentConfig,
     EarlyStopper,
     TrainConfig,
+    _bins,
+    _openblas,
     _train_component,
     augment,
     dequantize,
@@ -20,7 +25,7 @@ from waveflow.train import (
 )
 from waveflow.waveletflow import build_waveletflow
 
-from helpers import digest
+from helpers import FaultyBase, digest
 
 IDENTITY_AUG = AugmentConfig(
     rotation=(0.0, 0.0), translation=(0.0, 0.0), scaling=(1.0, 1.0), shear=(0.0, 0.0)
@@ -338,13 +343,18 @@ class TestTrainingBits:
         ),
     }
 
-    @pytest.mark.parametrize("family", sorted(BUILDS))
-    def test_parameters_and_records_are_pinned(self, family):
+    # One worker keeps the plain family ids; two train in a spawned worker too.
+    @pytest.mark.parametrize(
+        "family, workers",
+        [pytest.param(family, workers, id=family + ("" if workers == 1 else "-2workers"))
+         for family in sorted(BUILDS) for workers in (1, 2)],
+    )
+    def test_parameters_and_records_are_pinned(self, family, workers):
         model = self.BUILDS[family]()
         cfg = TrainConfig(
             learning_rate=3e-2, batch_size=6, max_epochs=2, augment=AugmentConfig(), dequantize=True, seed=4
         )
-        histories = train(model, make_blobs(12, 8, seed=5), cfg)
+        histories = train(model, make_blobs(12, 8, seed=5), cfg, workers=workers)
         params, records, best = self.PINNED[family]
         assert {name: h.best_epoch for name, h in histories.items()} == best
         assert not any(h.aborted for h in histories.values())
@@ -509,3 +519,79 @@ class TestWaveletTraining:
         model = build_waveletflow(8, steps_per_level=1, hidden=8, seed=1)
         with pytest.raises(ValueError, match="expects 8"):
             train(model, make_blobs(4, 16, seed=3), self._config())
+
+
+class TestWorkers:
+    """``train(..., workers=n)``: every bin but the heaviest trains in a
+    spawned process, with the serial run's result."""
+
+    CONFIG = TrainConfig(learning_rate=1e-3, batch_size=6, max_epochs=1, seed=9)
+
+    def test_bins_are_longest_first(self):
+        parts = build_waveletflow(32, steps_per_level=1, hidden=2).components()
+        assert _bins(parts, 1) == [list(parts)[::-1]]
+        assert _bins(parts, 2) == [["level5"], ["level4", "level3", "level2", "level1", "base"]]
+        assert _bins(parts, 3) == [["level5"], ["level4"], ["level3", "level2", "level1", "base"]]
+        assert len(_bins(parts, 64)) == len(parts)
+
+    def test_one_component_trains_in_the_caller(self, monkeypatch):
+        def no_processes(*args, **kwargs):
+            raise AssertionError("a worker process started")
+
+        monkeypatch.setattr(importlib.import_module("waveflow.train"), "_train_in_processes", no_processes)
+        model = build_glow(K=1, L=2, in_channels=1, image_size=8, hidden=4)
+        assert list(train(model, make_blobs(6, 8, seed=1), self.CONFIG, workers=4)) == ["flow"]
+
+    def test_bad_worker_count_rejected(self):
+        model = build_waveletflow(8, steps_per_level=1, hidden=4)
+        with pytest.raises(ValueError, match="workers"):
+            train(model, make_blobs(4, 8, seed=1), self.CONFIG, workers=0)
+
+    def test_actnorm_state_survives_the_worker(self):
+        # Constant images have zero-variance details at every level, so each
+        # level's actnorm layers warn; level1 and level2 train in the worker.
+        images = np.full((6, 1, 8, 8), 0.5)
+        config = dataclasses.replace(self.CONFIG, augment=None, dequantize=False)
+        states = []
+        for workers in (1, 2):
+            model = build_waveletflow(8, steps_per_level=1, hidden=4, seed=1)
+            train(model, images, config, workers=workers)
+            layers = [layer for part in model.components().values() for layer in part.actnorm_layers()]
+            states.append([(layer.initialized, layer.warnings) for layer in layers])
+        assert all(warnings for _, warnings in states[0]) and all(flag for flag, _ in states[0])
+        assert states[1] == states[0]
+
+    @pytest.mark.parametrize(
+        "base, error, message",
+        [
+            (FaultyBase(exit_code=3), ChildProcessError, "training worker for .*base exited with code 3"),
+            (FaultyBase(), LookupError, "the faulty base failed"),
+            (FaultyBase(input_shape=(1, 64, 64)), LookupError, "the faulty base failed"),
+        ],
+        ids=["worker-exits", "worker-raises", "caller-raises"],
+    )
+    def test_failure_leaves_nothing_behind(self, base, error, message, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        model = build_waveletflow(8, steps_per_level=1, hidden=4, seed=1)
+        model.base = base
+        with pytest.raises(error) as err:
+            train(model, make_blobs(6, 8, seed=1), self.CONFIG, workers=2)
+        assert re.fullmatch(message, str(err.value))  # the message alone, without the worker's traceback note
+        assert multiprocessing.active_children() == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(_openblas() is None, reason="no OpenBLAS bundled with numpy")
+    def test_blas_thread_count_is_restored(self):
+        get, set_ = _openblas()
+        initial = get()
+        set_(2)  # a count other than the one the caller's bin trains at
+        try:
+            train(build_waveletflow(8, steps_per_level=1, hidden=4), make_blobs(6, 8, seed=1), self.CONFIG, workers=2)
+            assert get() == 2
+            model = build_waveletflow(8, steps_per_level=1, hidden=4)
+            model.base = FaultyBase(input_shape=(1, 64, 64))  # fails in the caller, on one BLAS thread
+            with pytest.raises(LookupError):
+                train(model, make_blobs(6, 8, seed=1), self.CONFIG, workers=2)
+            assert get() == 2
+        finally:
+            set_(initial)
