@@ -9,25 +9,39 @@ shapes or a scalar on one side, nothing else, and every image operation
 (convolution, channel and squeeze rearrangements) takes a (N,C,H,W)
 batch; a single image is a batch with N=1.
 
-The convolution copies its input once into a zero-padded buffer and
-gathers the im2col columns from a strided view of it in one more copy;
-the buffer is freed at once, and the graph node keeps only the columns and
-the flat kernel for the backward pass.  That pass scatters the column
-gradient into a flat (N, C*H*W) input gradient with nine contiguous shifted
-adds, one per tap in (di, dj) order; the column entries that a tap would
-send outside the image are zeroed first, so every element gets the same
-bits as a scatter into a zero-padded buffer.
+The convolution works through the batch in blocks of samples, each
+holding about ``_BLOCK_BYTES`` (1 MiB) of im2col columns, so that a
+block's columns are still in cache when its GEMM reads them; a batch that
+fits in one block is one piece.  A block is copied into a zero-padded
+block-sized buffer, its columns are gathered from a strided view of that
+buffer in one more copy, and one GEMM per sample writes the output.  The graph node keeps the whole batch's columns
+and the flat kernel for the backward pass, which works through the same
+blocks: per-sample dW products, then the block's column gradient scattered
+into a flat (N, C*H*W) input gradient with nine contiguous shifted adds,
+one per tap in (di, dj) order.  The column entries that a tap would send
+outside the image are zeroed first, so every element gets the same bits as
+a scatter into a zero-padded buffer.  dW and the bias gradient are summed
+over the whole batch at the end, so no sum depends on the block size.
+
+Inside ``with batch_threads(n):`` the calling thread's convolutions split
+the batch into ``n`` contiguous sample ranges: a pool of ``n - 1``
+threads, alive only inside the block, takes all but the first, which the
+calling thread runs.  numpy releases the GIL in the GEMMs and copies, and
+the pool threads touch only arrays, never a ``Tensor``.  Results are
+identical for any ``n``; at ``n = 1`` (the default) no pool is used.
 
 Inside ``with no_grad():`` the calling thread builds no graph: each new
 tensor keeps its value but no parents and no backward closure, so an
-intermediate array (a convolution's im2col columns included) is freed as
-soon as the next op has read it.  Values are identical in both modes;
-forward-only callers (scoring, actnorm initialization, monitoring, sampling)
-run in it.  The mode is per thread and restored when the block exits.
+intermediate array is freed as soon as the next op has read it, and a
+convolution keeps no columns: its blocks reuse one block-sized buffer.
+Values are identical in both modes; forward-only callers (scoring, actnorm
+initialization, monitoring, sampling) run in it.  The mode is per thread
+and restored when the block exits.
 """
 from __future__ import annotations
 
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
 import numpy as np
@@ -37,6 +51,7 @@ __all__ = [
     "Tensor",
     "Parameter",
     "no_grad",
+    "batch_threads",
     "add",
     "sub",
     "mul",
@@ -86,6 +101,36 @@ def no_grad():
         yield
     finally:
         _grad_mode.enabled = previous
+
+
+# A convolution gathers about this many bytes of im2col columns per block.
+_BLOCK_BYTES = 1 << 20
+
+
+class _BatchThreads(threading.local):
+    width = 1
+    pool = None
+
+
+_batch = _BatchThreads()
+
+
+@contextmanager
+def batch_threads(n: int):
+    """Split each convolution this thread runs over ``n`` threads while the
+    block runs: this one and ``n - 1`` pool threads, which exist only
+    inside the block."""
+    if n < 1:
+        raise ValueError(f"batch_threads needs n >= 1, got {n}")
+    previous = _batch.width, _batch.pool
+    pool = ThreadPoolExecutor(n - 1, thread_name_prefix="conv2d") if n > 1 else None
+    _batch.width, _batch.pool = n, pool
+    try:
+        yield
+    finally:
+        _batch.width, _batch.pool = previous
+        if pool is not None:
+            pool.shutdown()
 
 
 class Tensor:
@@ -369,29 +414,100 @@ def unsqueeze2x2(a) -> Tensor:
     return Tensor(out, (a,), lambda g: (squeeze2x2_array(g),))
 
 
-def _im2col(x: np.ndarray) -> np.ndarray:
-    """Gather the same-padded 3x3 patches of (N,C,H,W) into (N, 9C, H*W).
+def _split(job, N: int, *args) -> None:
+    """Run ``job(lo, hi, *args)`` over contiguous sample ranges covering
+    0:N, one per thread of ``batch_threads`` (at most N); this thread runs
+    the first.  Every range has finished when this returns or raises, and
+    a pool thread's exception is re-raised here."""
+    width = min(_batch.width, N)
+    if width == 1:
+        return job(0, N, *args)
+    bounds = [N * k // width for k in range(width + 1)]
+    futures = [_batch.pool.submit(job, bounds[k], bounds[k + 1], *args) for k in range(1, width)]
+    try:
+        job(0, bounds[1], *args)
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
 
-    Rows are ordered (di, dj, c).  ``x`` is copied once into the interior
-    of a zero (N,C,H+2,W+2) buffer; the (N,3,3,C,H,W) tap view of that
-    buffer is taken by strides, and one reshape copies it into the columns.
-    The buffer is freed on return.
+
+def _im2col(x: np.ndarray, padded: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+    """Gather the same-padded 3x3 patches of (b,C,H,W) into (b, 9C, H*W).
+
+    Rows are ordered (di, dj, c).  ``x`` is copied into the interior of
+    ``padded``, a zero (b',C,H+2,W+2) buffer with b' >= b whose border is
+    never written; the (b,3,3,C,H,W) tap view of it is taken by strides and
+    copied into ``cols``, or into a new array when ``cols`` is None.
     """
-    N, C, H, W = x.shape
-    padded = np.zeros((N, C, H + 2, W + 2))
-    padded[:, :, 1:-1, 1:-1] = x
+    b, C, H, W = x.shape
+    padded[:b, :, 1:-1, 1:-1] = x
     sn, sc, sh, sw = padded.strides
     # taps[n, di, dj, c, i, j] is padded[n, c, i + di, j + dj]; never written.
-    taps = np.ndarray((N, 3, 3, C, H, W), np.float64, padded, 0, (sn, sh, sw, sc, sh, sw))
-    return taps.reshape(N, 9 * C, H * W)
+    taps = np.ndarray((b, 3, 3, C, H, W), np.float64, padded, 0, (sn, sh, sw, sc, sh, sw))
+    if cols is None:
+        return taps.reshape(b, 9 * C, H * W)
+    cols.reshape(taps.shape)[...] = taps
+    return cols
+
+
+def _forward_range(lo: int, hi: int, x: np.ndarray, wf: np.ndarray, bias: np.ndarray, out, cols, step: int) -> None:
+    """Convolve samples lo:hi of ``x`` into ``out`` (N, Cout, H*W), ``step``
+    samples at a time, through one block-sized padded buffer.  Each block's
+    columns go into ``cols`` when the graph keeps them; when ``cols`` is
+    None one block-sized buffer is reused."""
+    _, C, H, W = x.shape
+    size = min(step, hi - lo)
+    padded = np.zeros((size, C, H + 2, W + 2))
+    scratch = np.empty((size, 9 * C, H * W)) if cols is None else None
+    for s in range(lo, hi, step):
+        e = min(s + step, hi)
+        block = _im2col(x[s:e], padded, scratch[: e - s] if cols is None else cols[s:e])
+        np.matmul(wf, block, out=out[s:e])
+        out[s:e] += bias
+
+
+def _backward_range(lo: int, hi: int, gflat: np.ndarray, cols: np.ndarray, wf: np.ndarray, per, gx, H, W, step) -> None:
+    """The dW products of samples lo:hi into ``per`` (N, Cout, 9Cin) and
+    their input gradient into the zero flat ``gx`` (N, Cin*H*W), ``step``
+    samples at a time through one block-sized column-gradient buffer."""
+    Cin = cols.shape[1] // 9
+    size = Cin * H * W
+    buffer = np.empty((min(step, hi - lo), 9 * Cin, H * W))
+    for s in range(lo, hi, step):
+        e = min(s + step, hi)
+        np.matmul(gflat[s:e], cols[s:e].transpose(0, 2, 1), out=per[s:e])
+        dcols = np.matmul(wf.T, gflat[s:e], out=buffer[: e - s]).reshape(e - s, 3, 3, Cin, H, W)
+        # Tap (di, dj) sends dcols[:, di, dj, c, i, j] to x[c, i+di-1, j+dj-1]:
+        # a shift by t = (di-1)*W + (dj-1) of the flat (c, i, j) index.  Zero
+        # first the entries whose target lies outside the image (they would
+        # wrap into a neighbouring row or channel); they then add +0.0 to an
+        # accumulator that starts at +0.0 and so can never be -0.0.  Every
+        # element thus gets the same taps in the same (di, dj) order as a
+        # scatter into a padded buffer, and the same bits.
+        dcols[:, 0, :, :, 0, :] = 0.0
+        dcols[:, 2, :, :, H - 1, :] = 0.0
+        dcols[:, :, 0, :, :, 0] = 0.0
+        dcols[:, :, 2, :, :, W - 1] = 0.0
+        taps = dcols.reshape(e - s, 3, 3, size)
+        target = gx[s:e]
+        for di in range(3):
+            for dj in range(3):
+                t = (di - 1) * W + (dj - 1)
+                a, b = max(t, 0), size + min(t, 0)  # targets that stay in the array
+                if a < b:
+                    target[:, a:b] += taps[:, di, dj, a - t : b - t]
 
 
 def conv2d(x, weight, bias) -> Tensor:
     """3x3 cross-correlation with same zero padding and stride 1.
 
     ``x`` is (N,C,H,W); ``weight`` is (C_out, C_in, 3, 3); ``bias`` is (C_out,).
-    The padded copy of ``x`` lives only while the columns are gathered;
-    the graph keeps the columns and the flat kernel for the backward pass.
+    The batch is worked through in blocks of samples sized by column bytes
+    (``_forward_range``), split over the threads of ``batch_threads``; a
+    batch that fits in one block on one thread is gathered and multiplied
+    whole.  The graph keeps the (N, 9C, H*W) columns and the flat kernel for
+    the backward pass; under ``no_grad`` no columns outlive their block.
     """
     x, weight, bias = _wrap(x), _wrap(weight), _wrap(bias)
     if weight.data.ndim != 4 or weight.data.shape[2:] != (3, 3):
@@ -404,41 +520,35 @@ def conv2d(x, weight, bias) -> Tensor:
     if bias.data.shape != (Cout,):
         raise ShapeError(f"conv2d bias must be ({Cout},), got {bias.data.shape}")
 
-    cols = _im2col(x.data)
-    # Flat kernel layout (di, dj, c_in) matches the patch layout above.
+    # Flat kernel layout (di, dj, c_in) matches the column layout.
     wf = weight.data.transpose(0, 2, 3, 1).reshape(Cout, 9 * Cin)
-    out = np.matmul(wf, cols)  # (N, Cout, H*W)
-    out = out.reshape(N, Cout, H, W) + bias.data.reshape(1, Cout, 1, 1)
+    bias_col = bias.data.reshape(Cout, 1)
+    step = max(1, _BLOCK_BYTES // (9 * 8 * Cin * H * W))
+    if N <= step and _batch.width == 1:
+        # One block on this thread, as a single image always is: with no
+        # per-block views or preallocated output, scoring pays nothing for
+        # the blocks.
+        cols = _im2col(x.data, np.zeros((N, Cin, H + 2, W + 2)))
+        out = np.matmul(wf, cols)
+        out += bias_col
+    else:
+        out = np.empty((N, Cout, H * W))
+        cols = np.empty((N, 9 * Cin, H * W)) if _grad_mode.enabled else None
+        _split(_forward_range, N, x.data, wf, bias_col, out, cols, step)
+    if not _grad_mode.enabled:
+        return Tensor(out.reshape(N, Cout, H, W))
 
     def back(g):
         gflat = g.reshape(N, Cout, H * W)
+        per = np.empty((N, Cout, 9 * Cin))
+        gx = np.zeros((N, Cin * H * W))
+        _split(_backward_range, N, gflat, cols, wf, per, gx, H, W, step)
+        # Both sums run over the whole batch: no sum depends on blocks or threads.
         dbias = gflat.sum(axis=(0, 2))
-        dwf = np.matmul(gflat, cols.transpose(0, 2, 1)).sum(axis=0)  # (Cout, 9Cin)
-        dweight = dwf.reshape(Cout, 3, 3, Cin).transpose(0, 3, 1, 2)
-        dcols = np.matmul(wf.T, gflat).reshape(N, 3, 3, Cin, H, W)
-        # Tap (di, dj) sends dcols[:, di, dj, c, i, j] to x[c, i+di-1, j+dj-1]:
-        # a shift by s = (di-1)*W + (dj-1) of the flat (c, i, j) index.  Zero
-        # first the entries whose target lies outside the image (they would
-        # wrap into a neighbouring row or channel); they then add +0.0 to an
-        # accumulator that starts at +0.0 and so can never be -0.0.  Every
-        # element thus gets the same taps in the same (di, dj) order as a
-        # scatter into a padded buffer, and the same bits.
-        dcols[:, 0, :, :, 0, :] = 0.0
-        dcols[:, 2, :, :, H - 1, :] = 0.0
-        dcols[:, :, 0, :, :, 0] = 0.0
-        dcols[:, :, 2, :, :, W - 1] = 0.0
-        size = Cin * H * W
-        taps = dcols.reshape(N, 3, 3, size)
-        gx = np.zeros((N, size))
-        for di in range(3):
-            for dj in range(3):
-                s = (di - 1) * W + (dj - 1)
-                lo, hi = max(s, 0), size + min(s, 0)  # targets that stay in the array
-                if lo < hi:
-                    gx[:, lo:hi] += taps[:, di, dj, lo - s : hi - s]
+        dweight = per.sum(axis=0).reshape(Cout, 3, 3, Cin).transpose(0, 3, 1, 2)
         return (gx.reshape(N, Cin, H, W), dweight, dbias)
 
-    return Tensor(out, (x, weight, bias), back)
+    return Tensor(out.reshape(N, Cout, H, W), (x, weight, bias), back)
 
 
 def finite_diff_grad(loss_fn, params: list[Parameter], epsilon: float = 1e-4) -> list[np.ndarray]:

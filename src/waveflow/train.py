@@ -7,10 +7,13 @@ seed, whichever process trains a component and in whatever order.
 ``train(..., workers=n)`` splits the components into up to ``n`` bins,
 longest first by input size.  The calling process trains the bin with
 the heaviest component, each other bin trains in a ``spawn``-started
-worker, all on one BLAS thread, and the parent writes the workers'
-parameters and actnorm state back into its model.  One bin
-(``workers=1``, or a one-component Glow model) trains in the calling
-process, in ``components()`` order, with BLAS untouched.
+worker, and the parent writes the workers' parameters and actnorm state
+back into its model.  With ``n > 1`` every bin trains on one BLAS thread
+and splits each convolution's batch over ``n // bins`` threads
+(``autodiff.batch_threads``), so a one-component Glow model trains on
+``n`` threads in the calling process.  ``workers=1`` trains in the
+calling process, in ``components()`` order, with BLAS and threading
+untouched.
 
 The monitored quantity is the mean train-set NLL on clean
 (un-augmented, un-dequantized) data; training stops after
@@ -369,13 +372,14 @@ def _state(part: FlowModel | GaussianBase) -> tuple[list[np.ndarray], list[tuple
     return [p.data for p in part.parameters()], [(a.initialized, a.warnings) for a in part.actnorm_layers()]
 
 
-def _worker(payload: str, conn) -> None:
-    """Train the components a payload file names, on one BLAS thread, and
-    send back their histories and states, or the exception that stopped them."""
+def _worker(payload: str, threads: int, conn) -> None:
+    """Train the components a payload file names, on one BLAS thread and
+    ``threads`` convolution threads, and send back their histories and
+    states, or the exception that stopped them."""
     try:
         with open(payload, "rb") as fh:
             model, names, images, config = pickle.load(fh)
-        with _one_blas_thread():
+        with _one_blas_thread(), ad.batch_threads(threads):
             histories = _train_parts(model, names, images, config)
         parts = model.components()
         message = ("trained", histories, {name: _state(parts[name]) for name in names})
@@ -387,9 +391,10 @@ def _worker(payload: str, conn) -> None:
 
 
 def _train_in_processes(
-    model: FlowModel | WaveletFlowModel, bins: list[list[str]], images: np.ndarray, config: TrainConfig
+    model: FlowModel | WaveletFlowModel, bins: list[list[str]], images: np.ndarray, config: TrainConfig, threads: int
 ) -> dict[str, TrainHistory]:
-    """Train bin 0 here and every other bin in its own spawned process.
+    """Train bin 0 here and every other bin in its own spawned process, each
+    on one BLAS thread and ``threads`` convolution threads.
 
     Each worker's payload is pickled into a private temporary directory,
     so a process starts with only the file's path and a pipe end.  On any
@@ -406,11 +411,11 @@ def _train_in_processes(
                 with open(payload, "wb") as fh:
                     pickle.dump((model, names, images, config), fh, protocol=pickle.HIGHEST_PROTOCOL)
                 receive, send = ctx.Pipe(duplex=False)
-                process = ctx.Process(target=_worker, args=(payload, send), daemon=True)
+                process = ctx.Process(target=_worker, args=(payload, threads, send), daemon=True)
                 process.start()
                 send.close()
                 workers.append((names, process, receive))
-            with _one_blas_thread():
+            with _one_blas_thread(), ad.batch_threads(threads):
                 histories.update(_train_parts(model, bins[0], images, config))
             for names, process, receive in workers:
                 try:
@@ -452,11 +457,14 @@ def train(
 
     Each of ``model.components()`` trains independently; ``levels``
     restricts training to a subset of a pyramid model's components (0 means
-    the base residue model; a pixel flow has no levels).  ``workers`` caps
-    the processes training at once: the components are split into that
-    many bins, and every bin but the heaviest trains in a spawned process;
-    the result is the same for any value.  Returns one history per trained
-    component, keyed 'flow', 'base', 'level<i>', in ``components()`` order.
+    the base residue model; a pixel flow has no levels).  ``workers`` is
+    the number of cores to use: the components are split into at most that
+    many bins, and every bin but the heaviest trains in a spawned process.
+    With ``workers > 1`` each bin runs on one BLAS thread and
+    ``workers // bins`` convolution threads; ``workers=1`` leaves BLAS and
+    threading alone.  The result is the same for any value.  Returns one
+    history per trained component, keyed 'flow', 'base', 'level<i>', in
+    ``components()`` order.
     """
     config.validate()
     if workers < 1:
@@ -480,7 +488,10 @@ def train(
             raise ValueError(f"unknown levels {sorted(unknown)}; the model's levels are {known}")
         parts = {name: part for name, part in parts.items() if _component_level(name) in levels}
     bins = _bins(parts, workers)
-    if len(bins) <= 1:
+    if len(bins) > 1:
+        histories = _train_in_processes(model, bins, images, config, workers // len(bins))
+        return {name: histories[name] for name in parts}
+    if workers == 1:
         return _train_parts(model, list(parts), images, config)
-    histories = _train_in_processes(model, bins, images, config)
-    return {name: histories[name] for name in parts}
+    with _one_blas_thread(), ad.batch_threads(workers):
+        return _train_parts(model, list(parts), images, config)

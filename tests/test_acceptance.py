@@ -85,13 +85,15 @@ def dataset32(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def trained(dataset32):
+    # Two workers: the result is byte-identical to a serial run's
+    # (test_train.py's TestTrainingBits pins both families at 1 and 2).
     wf = build_waveletflow(32, steps_per_level=2, hidden=24, seed=0)
     t0 = time.perf_counter()
-    wf_history = train(wf, dataset32.train, TRAIN_SETUP)
+    wf_history = train(wf, dataset32.train, TRAIN_SETUP, workers=2)
     wf_seconds = time.perf_counter() - t0
 
     glow = build_glow(K=4, L=2, in_channels=1, image_size=32, hidden=24, seed=0)
-    glow_history = train(glow, dataset32.train, TRAIN_SETUP)["flow"]
+    glow_history = train(glow, dataset32.train, TRAIN_SETUP, workers=2)["flow"]
     return SimpleNamespace(
         wf=wf,
         wf_history=wf_history,

@@ -2,6 +2,7 @@
 central finite differences."""
 from __future__ import annotations
 
+import sys
 import threading
 import tracemalloc
 
@@ -169,6 +170,45 @@ class TestConv2d:
             g[:, :, -1, :] = 0.0
             kernel = rng.uniform(0.01, 0.49, (3, 4, 3, 3))
             assert_conv_bit_equal(x, lambda: x.grad, rng, kernel=kernel, out_grad=g)
+
+    # (C, H, W) whose block, at the module's 1 MiB of columns, holds one
+    # sample, 14 samples (so 33 leaves a partial block), or any whole batch.
+    BLOCK_SHAPES = {"one-sample": (8, 32, 32), "partial": (4, 16, 16), "whole-batch": (1, 4, 4)}
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 33])
+    @pytest.mark.parametrize("block", sorted(BLOCK_SHAPES))
+    def test_blocks_and_threads_keep_the_bits(self, block, n, threads):
+        chw = self.BLOCK_SHAPES[block]
+        assert (ad._BLOCK_BYTES // (9 * 8 * np.prod(chw)) == 1) == (block == "one-sample")
+        rng = np.random.default_rng(n * 10 + threads)
+        x = ad.Parameter("x", rng.standard_normal((n,) + chw))
+        with ad.batch_threads(threads):
+            assert_conv_bit_equal(x, lambda: x.grad, rng)
+            w, b = rng.standard_normal((3, chw[0], 3, 3)), rng.standard_normal(3)
+            with ad.no_grad():
+                out = ad.conv2d(x.data, w, b)
+        want = padded_conv2d_reference(x.data, w, b, np.zeros(out.shape))[0]
+        assert same_bits(out.data, want) and out._backward is None
+
+    def test_threads_take_contiguous_ranges(self, monkeypatch):
+        calls = []
+        forward = ad._forward_range
+
+        def recorded(lo, hi, *args):
+            calls.append((lo, hi, threading.get_ident()))
+            return forward(lo, hi, *args)
+
+        monkeypatch.setattr(ad, "_forward_range", recorded)
+        x, w, b = np.ones((7, 2, 4, 4)), np.ones((3, 2, 3, 3)), np.zeros(3)
+        with ad.batch_threads(3):
+            ad.conv2d(x, w, b)
+            ad.conv2d(x[:2], w, b)  # fewer samples than threads: one range each
+        ranges = sorted(calls)
+        assert [(lo, hi) for lo, hi, _ in ranges] == [(0, 1), (0, 2), (1, 2), (2, 4), (4, 7)]
+        owner = {(lo, hi): ident for lo, hi, ident in calls}
+        assert owner[0, 2] == owner[0, 1] == threading.get_ident()  # the caller runs the first range
+        assert owner[2, 4] != threading.get_ident() != owner[1, 2]
 
     def test_graph_keeps_only_the_columns(self):
         # The backward closure holds the (N, 9C, HW) columns and the flat
@@ -348,6 +388,71 @@ class TestNoGrad:
         built["out"].backward()
         w = built["w"]
         np.testing.assert_allclose(w.grad, np.exp(w.data) * (1.0 + w.data))
+
+
+class TestBatchThreads:
+    def test_pool_lives_only_inside_the_block(self):
+        before = threading.active_count()
+        with ad.batch_threads(3):
+            assert ad._batch.width == 3
+            ad.conv2d(np.ones((6, 2, 4, 4)), np.ones((3, 2, 3, 3)), np.zeros(3))
+            assert threading.active_count() > before
+        assert threading.active_count() == before
+        assert ad._batch.width == 1 and ad._batch.pool is None
+
+    def test_nested_blocks_restore_the_outer_width(self):
+        with ad.batch_threads(2):
+            outer = ad._batch.pool
+            with ad.batch_threads(3):
+                assert ad._batch.width == 3
+            assert ad._batch.width == 2 and ad._batch.pool is outer
+        assert ad._batch.width == 1
+
+    def test_width_is_per_thread(self):
+        seen = {}
+        thread = threading.Thread(target=lambda: seen.update(width=ad._batch.width))
+        with ad.batch_threads(2):
+            thread.start()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert seen == {"width": 1}
+
+    def test_more_threads_than_cores_write_disjoint_ranges(self):
+        # The ranges share the output, column and gradient arrays; a short
+        # switch interval interleaves the threads as often as it can.
+        rng = np.random.default_rng(17)
+        x = ad.Parameter("x", rng.standard_normal((33, 4, 16, 16)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ad.batch_threads(7):
+                assert_conv_bit_equal(x, lambda: x.grad, rng, cout=5)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_bad_width_rejected(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            with ad.batch_threads(0):
+                pass
+
+    def test_pool_thread_exception_reaches_the_caller(self, monkeypatch):
+        class RangeFailure(Exception):
+            pass
+
+        forward = ad._forward_range
+
+        def failing(lo, hi, *args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RangeFailure(f"range {lo}:{hi}")
+            return forward(lo, hi, *args)
+
+        monkeypatch.setattr(ad, "_forward_range", failing)
+        before = threading.active_count()
+        with pytest.raises(RangeFailure, match="range 3:6"):
+            with ad.batch_threads(2):
+                ad.conv2d(np.ones((6, 2, 4, 4)), np.ones((3, 2, 3, 3)), np.zeros(3))
+        assert threading.active_count() == before
+        assert ad._batch.width == 1
 
 
 def _weighted_sum(t: ad.Tensor, weights: np.ndarray) -> ad.Tensor:

@@ -152,11 +152,18 @@ class TestTrain:
         assert not any(entry["aborted"] for entry in summary.values())
 
     def test_outputs_are_byte_identical_for_any_threads(self, pipeline, tmp_path):
-        cfg = write_cfg(tmp_path / "t.ini", TRAIN_CFG, out=tmp_path / "unused", dataset=pipeline["data"])
-        for threads in ("1", "2"):
-            assert run_cli("train", "--config", cfg, "--out", str(tmp_path / threads), "--threads", threads) == 0
-        for name in ("checkpoint.json", "training.json"):
-            assert digest(tmp_path / "1" / name) == digest(tmp_path / "2" / name), name
+        # WaveletFlow levels train in processes; a Glow flow splits its convolutions over threads.
+        glow = TRAIN_CFG.replace("family = waveletflow", "family = glow\n    L = 2")
+        for family, text in (("waveletflow", TRAIN_CFG), ("glow", glow)):
+            cfg = write_cfg(tmp_path / f"{family}.ini", text, out=tmp_path / "unused", dataset=pipeline["data"])
+            for threads in ("1", "2"):
+                out = tmp_path / family / threads
+                assert run_cli("train", "--config", cfg, "--out", str(out), "--threads", threads) == 0
+            for name in ("checkpoint.json", "training.json"):
+                assert digest(tmp_path / family / "1" / name) == digest(tmp_path / family / "2" / name), (family, name)
+            assert json.loads((tmp_path / family / "1" / "training.json").read_text()).keys() == (
+                {"flow"} if family == "glow" else {"base", "level1", "level2", "level3", "level4"}
+            )
 
     def test_glow_family(self, pipeline, tmp_path):
         out = tmp_path / "glow_run"

@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import re
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -361,6 +362,26 @@ class TestTrainingBits:
         assert digest(*[[(r.epoch, r.nll) for r in h.records] for h in histories.values()]) == records
         assert digest(*[p.data for p in model.parameters()]) == params
 
+    # Glow at 32 px with hidden 24: a 16x16 hidden conv holds two samples per
+    # block, so batches of 5 end in a partial block on one thread and split
+    # 2 + 3 over two.  Pinned from the serial run before blocks and threads.
+    GLOW_BLOCKS = (
+        "999ce4cdfac4c5db5fe483d0f116a341c9b6e63f4d013f977b24cb508acba4ea",
+        "73af6a65ccc4d2d454f13551548ac4bcd53d7f0231f568f5538b6e770f2acbbd",
+    )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_glow_with_partial_blocks_is_pinned(self, workers):
+        model = build_glow(K=1, L=2, in_channels=1, image_size=32, hidden=24, seed=1)
+        cfg = TrainConfig(
+            learning_rate=3e-2, batch_size=5, max_epochs=2, augment=AugmentConfig(), dequantize=True, seed=4
+        )
+        histories = train(model, make_blobs(12, 32, seed=5), cfg, workers=workers)
+        params, records = self.GLOW_BLOCKS
+        assert histories["flow"].best_epoch == 1 and not histories["flow"].aborted
+        assert digest([(r.epoch, r.nll) for r in histories["flow"].records]) == records
+        assert digest(*[p.data for p in model.parameters()]) == params
+
 
 class TestMonitoredNll:
     @pytest.mark.parametrize("family", ["waveletflow", "glow"])
@@ -523,7 +544,8 @@ class TestWaveletTraining:
 
 class TestWorkers:
     """``train(..., workers=n)``: every bin but the heaviest trains in a
-    spawned process, with the serial run's result."""
+    spawned process, and one bin splits its convolutions over ``n``
+    threads, with the serial run's result."""
 
     CONFIG = TrainConfig(learning_rate=1e-3, batch_size=6, max_epochs=1, seed=9)
 
@@ -579,6 +601,52 @@ class TestWorkers:
         assert re.fullmatch(message, str(err.value))  # the message alone, without the worker's traceback note
         assert multiprocessing.active_children() == []
         assert list(tmp_path.iterdir()) == []
+
+    def test_one_bin_splits_convolutions_over_threads(self, monkeypatch):
+        widths = set()
+        forward = ad._forward_range
+
+        def recorded(lo, hi, *args):
+            widths.add(ad._batch.width if threading.current_thread() is threading.main_thread() else None)
+            return forward(lo, hi, *args)
+
+        monkeypatch.setattr(ad, "_forward_range", recorded)
+        train(build_glow(K=1, L=2, in_channels=1, image_size=8, hidden=4), make_blobs(6, 8, seed=1), self.CONFIG, workers=2)
+        assert widths == {2, None}  # the caller at width 2, and pool threads
+
+    @pytest.mark.parametrize("outcome", ["returns", "raises"])
+    def test_one_bin_leaves_no_thread_and_restores_blas(self, outcome, monkeypatch):
+        class RangeFailure(Exception):
+            pass
+
+        forward = ad._forward_range
+
+        def failing(lo, hi, *args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RangeFailure("a pool thread failed")
+            return forward(lo, hi, *args)
+
+        if outcome == "raises":
+            monkeypatch.setattr(ad, "_forward_range", failing)
+        blas = _openblas()
+        if blas is not None:
+            initial = blas[0]()
+            blas[1](2)  # a count other than the one the bin trains at
+        before = threading.active_count()
+        model = build_glow(K=1, L=2, in_channels=1, image_size=8, hidden=4)
+        try:
+            if outcome == "raises":
+                with pytest.raises(RangeFailure, match="a pool thread failed"):
+                    train(model, make_blobs(6, 8, seed=1), self.CONFIG, workers=2)
+            else:
+                assert list(train(model, make_blobs(6, 8, seed=1), self.CONFIG, workers=2)) == ["flow"]
+            assert threading.active_count() == before
+            assert ad._batch.width == 1 and ad._batch.pool is None
+            if blas is not None:
+                assert blas[0]() == 2
+        finally:
+            if blas is not None:
+                blas[1](initial)
 
     @pytest.mark.skipif(_openblas() is None, reason="no OpenBLAS bundled with numpy")
     def test_blas_thread_count_is_restored(self):
