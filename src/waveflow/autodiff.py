@@ -14,14 +14,22 @@ holding about ``_BLOCK_BYTES`` (1 MiB) of im2col columns, so that a
 block's columns are still in cache when its GEMM reads them; a batch that
 fits in one block is one piece.  A block is copied into a zero-padded
 block-sized buffer, its columns are gathered from a strided view of that
-buffer in one more copy, and one GEMM per sample writes the output.  The graph node keeps the whole batch's columns
-and the flat kernel for the backward pass, which works through the same
-blocks: per-sample dW products, then the block's column gradient scattered
-into a flat (N, C*H*W) input gradient with nine contiguous shifted adds,
-one per tap in (di, dj) order.  The column entries that a tap would send
-outside the image are zeroed first, so every element gets the same bits as
-a scatter into a zero-padded buffer.  dW and the bias gradient are summed
-over the whole batch at the end, so no sum depends on the block size.
+buffer in one more copy into a reused block-sized buffer, and one GEMM per
+sample writes the output.  The graph node keeps no columns: it keeps its
+input, which it holds as a parent anyway, and the flat kernel.  The
+backward pass works through the same blocks and gathers each block's
+columns again from the input: per-sample dW products, then the block's
+column gradient scattered into a flat (N, C*H*W) input gradient with nine
+contiguous shifted adds, one per tap in (di, dj) order.  The column
+entries that a tap would send outside the image are zeroed first, so every
+element gets the same bits as a scatter into a zero-padded buffer.  dW and
+the bias gradient are summed over the whole batch at the end, so no sum
+depends on the block size.
+
+A backward pass reads its parents' ``data`` as the forward pass left it,
+so no tensor's data may be written between the forward and the backward
+pass; training writes parameters only in ``Adam.step``, after the
+backward.
 
 Inside ``with batch_threads(n):`` the calling thread's convolutions split
 the batch into ``n`` contiguous sample ranges: a pool of ``n - 1``
@@ -32,9 +40,8 @@ identical for any ``n``; at ``n = 1`` (the default) no pool is used.
 
 Inside ``with no_grad():`` the calling thread builds no graph: each new
 tensor keeps its value but no parents and no backward closure, so an
-intermediate array is freed as soon as the next op has read it, and a
-convolution keeps no columns: its blocks reuse one block-sized buffer.
-Values are identical in both modes; forward-only callers (scoring, actnorm
+intermediate array is freed as soon as the next op has read it.  Values
+are identical in both modes; forward-only callers (scoring, actnorm
 initialization, monitoring, sampling) run in it.  The mode is per thread
 and restored when the block exits.
 """
@@ -451,33 +458,36 @@ def _im2col(x: np.ndarray, padded: np.ndarray, cols: np.ndarray | None = None) -
     return cols
 
 
-def _forward_range(lo: int, hi: int, x: np.ndarray, wf: np.ndarray, bias: np.ndarray, out, cols, step: int) -> None:
+def _forward_range(lo: int, hi: int, x: np.ndarray, wf: np.ndarray, bias: np.ndarray, out, step: int) -> None:
     """Convolve samples lo:hi of ``x`` into ``out`` (N, Cout, H*W), ``step``
-    samples at a time, through one block-sized padded buffer.  Each block's
-    columns go into ``cols`` when the graph keeps them; when ``cols`` is
-    None one block-sized buffer is reused."""
+    samples at a time, through one block-sized padded buffer and one
+    block-sized column buffer, both reused by every block."""
     _, C, H, W = x.shape
     size = min(step, hi - lo)
     padded = np.zeros((size, C, H + 2, W + 2))
-    scratch = np.empty((size, 9 * C, H * W)) if cols is None else None
+    scratch = np.empty((size, 9 * C, H * W))
     for s in range(lo, hi, step):
         e = min(s + step, hi)
-        block = _im2col(x[s:e], padded, scratch[: e - s] if cols is None else cols[s:e])
+        block = _im2col(x[s:e], padded, scratch[: e - s])
         np.matmul(wf, block, out=out[s:e])
         out[s:e] += bias
 
 
-def _backward_range(lo: int, hi: int, gflat: np.ndarray, cols: np.ndarray, wf: np.ndarray, per, gx, H, W, step) -> None:
+def _backward_range(lo: int, hi: int, gflat: np.ndarray, x: np.ndarray, wf: np.ndarray, per, gx, step) -> None:
     """The dW products of samples lo:hi into ``per`` (N, Cout, 9Cin) and
     their input gradient into the zero flat ``gx`` (N, Cin*H*W), ``step``
-    samples at a time through one block-sized column-gradient buffer."""
-    Cin = cols.shape[1] // 9
-    size = Cin * H * W
-    buffer = np.empty((min(step, hi - lo), 9 * Cin, H * W))
+    samples at a time.  Each block's columns are gathered again from ``x``
+    into one block-sized buffer, which then takes the block's column
+    gradient."""
+    _, Cin, H, W = x.shape
+    size, n = Cin * H * W, min(step, hi - lo)
+    padded = np.zeros((n, Cin, H + 2, W + 2))
+    buffer = np.empty((n, 9 * Cin, H * W))
     for s in range(lo, hi, step):
         e = min(s + step, hi)
-        np.matmul(gflat[s:e], cols[s:e].transpose(0, 2, 1), out=per[s:e])
-        dcols = np.matmul(wf.T, gflat[s:e], out=buffer[: e - s]).reshape(e - s, 3, 3, Cin, H, W)
+        cols = _im2col(x[s:e], padded, buffer[: e - s])
+        np.matmul(gflat[s:e], cols.transpose(0, 2, 1), out=per[s:e])
+        dcols = np.matmul(wf.T, gflat[s:e], out=cols).reshape(e - s, 3, 3, Cin, H, W)
         # Tap (di, dj) sends dcols[:, di, dj, c, i, j] to x[c, i+di-1, j+dj-1]:
         # a shift by t = (di-1)*W + (dj-1) of the flat (c, i, j) index.  Zero
         # first the entries whose target lies outside the image (they would
@@ -506,8 +516,8 @@ def conv2d(x, weight, bias) -> Tensor:
     The batch is worked through in blocks of samples sized by column bytes
     (``_forward_range``), split over the threads of ``batch_threads``; a
     batch that fits in one block on one thread is gathered and multiplied
-    whole.  The graph keeps the (N, 9C, H*W) columns and the flat kernel for
-    the backward pass; under ``no_grad`` no columns outlive their block.
+    whole.  No columns outlive the call: the graph keeps the input and the
+    flat kernel, and the backward pass gathers each block's columns again.
     """
     x, weight, bias = _wrap(x), _wrap(weight), _wrap(bias)
     if weight.data.ndim != 4 or weight.data.shape[2:] != (3, 3):
@@ -528,13 +538,11 @@ def conv2d(x, weight, bias) -> Tensor:
         # One block on this thread, as a single image always is: with no
         # per-block views or preallocated output, scoring pays nothing for
         # the blocks.
-        cols = _im2col(x.data, np.zeros((N, Cin, H + 2, W + 2)))
-        out = np.matmul(wf, cols)
+        out = np.matmul(wf, _im2col(x.data, np.zeros((N, Cin, H + 2, W + 2))))
         out += bias_col
     else:
         out = np.empty((N, Cout, H * W))
-        cols = np.empty((N, 9 * Cin, H * W)) if _grad_mode.enabled else None
-        _split(_forward_range, N, x.data, wf, bias_col, out, cols, step)
+        _split(_forward_range, N, x.data, wf, bias_col, out, step)
     if not _grad_mode.enabled:
         return Tensor(out.reshape(N, Cout, H, W))
 
@@ -542,7 +550,7 @@ def conv2d(x, weight, bias) -> Tensor:
         gflat = g.reshape(N, Cout, H * W)
         per = np.empty((N, Cout, 9 * Cin))
         gx = np.zeros((N, Cin * H * W))
-        _split(_backward_range, N, gflat, cols, wf, per, gx, H, W, step)
+        _split(_backward_range, N, gflat, x.data, wf, per, gx, step)
         # Both sums run over the whole batch: no sum depends on blocks or threads.
         dbias = gflat.sum(axis=(0, 2))
         dweight = per.sum(axis=0).reshape(Cout, 3, 3, Cin).transpose(0, 3, 1, 2)

@@ -1,13 +1,14 @@
 """Oracles shared by several test modules: a random well-conditioned flow,
 a central-difference log-determinant, a brute-force pairwise AUC, the
-SHA-256 digest of float64 arrays that bit-exact pins compare, a residue
-model that fails when it trains, and the usable core count that is the
-default of ``[run] threads``."""
+SHA-256 digest of float64 arrays that bit-exact pins compare, the bytes a
+call's result keeps allocated, a residue model that fails when it trains,
+and the usable core count that is the default of ``[run] threads``."""
 from __future__ import annotations
 
 import hashlib
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 
@@ -65,6 +66,18 @@ def digest(*arrays) -> str:
     for a in arrays:
         h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
     return h.hexdigest()
+
+
+def held_bytes(run) -> int:
+    """Bytes that ``run()`` allocated and still holds while its result is
+    alive, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run()  # noqa: F841  (kept alive while measuring)
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
 
 
 class FaultyBase(GaussianBase):

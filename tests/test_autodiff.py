@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import sys
 import threading
-import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
+from helpers import held_bytes
 from waveflow import autodiff as ad
 
 
@@ -69,13 +70,15 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def assert_conv_bit_equal(x, input_grad, rng, cout=3, kernel=None, out_grad=None):
+def assert_conv_bit_equal(x, input_grad, rng, cout=3, kernel=None, out_grad=None, backward_threads=None):
     """conv2d of the tensor ``x`` equals ``padded_conv2d_reference`` bit for
     bit: the output, dW, db, and the input gradient that ``input_grad()``
     reads after the backward pass.  The backward closure's own outputs are
     compared too, because accumulating into a zero ``grad`` turns -0.0 into
     +0.0.  Draws the kernel, bias and output gradient from ``rng`` in that
-    order; ``kernel`` and ``out_grad`` replace the drawn values."""
+    order; ``kernel`` and ``out_grad`` replace the drawn values.  With
+    ``backward_threads`` set, both backward passes run at that
+    ``batch_threads`` width instead of the forward's."""
     w = ad.Parameter("w", rng.standard_normal((cout, x.shape[1], 3, 3)))
     b = ad.Parameter("b", rng.standard_normal(cout))
     g = rng.standard_normal((x.shape[0], cout) + x.shape[2:])
@@ -84,11 +87,14 @@ def assert_conv_bit_equal(x, input_grad, rng, cout=3, kernel=None, out_grad=None
     if out_grad is not None:
         g = out_grad
     out = ad.conv2d(x, w, b)
-    ad.reduce_sum(ad.mul(out, ad.Tensor(g))).backward()
+    loss = ad.reduce_sum(ad.mul(out, ad.Tensor(g)))
+    with nullcontext() if backward_threads is None else ad.batch_threads(backward_threads):
+        loss.backward()
+        raw = out._backward(g)
     want = padded_conv2d_reference(x.data, w.data, b.data, g)
     for name, got, ref in zip(("out", "dx", "dW", "db"), (out.data, input_grad(), w.grad, b.grad), want):
         assert same_bits(got, ref), name
-    for name, got, ref in zip(("raw dx", "raw dW", "raw db"), out._backward(g), want[1:]):
+    for name, got, ref in zip(("raw dx", "raw dW", "raw db"), raw, want[1:]):
         assert same_bits(got, ref), name
 
 
@@ -191,6 +197,38 @@ class TestConv2d:
         want = padded_conv2d_reference(x.data, w, b, np.zeros(out.shape))[0]
         assert same_bits(out.data, want) and out._backward is None
 
+    @pytest.mark.parametrize("widths", [(1, 3), (3, 1)], ids=["1to3", "3to1"])
+    @pytest.mark.parametrize("block", sorted(BLOCK_SHAPES))
+    def test_backward_at_another_width_keeps_the_bits(self, block, widths):
+        # The backward gathers its blocks' columns again, over its own ranges.
+        forward_threads, backward_threads = widths
+        rng = np.random.default_rng(forward_threads * 10 + backward_threads)
+        x = ad.Parameter("x", rng.standard_normal((33,) + self.BLOCK_SHAPES[block]))
+        with ad.batch_threads(forward_threads):
+            assert_conv_bit_equal(x, lambda: x.grad, rng, backward_threads=backward_threads)
+
+    @pytest.mark.parametrize("block", sorted(BLOCK_SHAPES))
+    def test_backward_twice_keeps_the_bits(self, block):
+        chw = self.BLOCK_SHAPES[block]
+        rng = np.random.default_rng(17)
+        x = ad.Parameter("x", rng.standard_normal((33,) + chw))
+        w = ad.Parameter("w", rng.standard_normal((3, chw[0], 3, 3)))
+        b = ad.Parameter("b", rng.standard_normal(3))
+        g = rng.standard_normal((33, 3) + chw[1:])
+        with ad.batch_threads(2):
+            out = ad.conv2d(x, w, b)
+            first, second = out._backward(g), out._backward(g)
+            loss = ad.reduce_sum(ad.mul(out, ad.Tensor(g)))
+            loss.backward()
+            once = [p.grad.copy() for p in (x, w, b)]
+            loss.backward()
+        want = padded_conv2d_reference(x.data, w.data, b.data, g)
+        for name, got, again, ref, grad in zip(("dx", "dW", "db"), first, second, want[1:], once):
+            assert same_bits(got, ref) and same_bits(again, ref), name
+            assert same_bits(grad, ref), name
+        for name, p, grad in zip(("dx", "dW", "db"), (x, w, b), once):
+            assert same_bits(p.grad, 2.0 * grad), name
+
     def test_threads_take_contiguous_ranges(self, monkeypatch):
         calls = []
         forward = ad._forward_range
@@ -210,26 +248,27 @@ class TestConv2d:
         assert owner[0, 2] == owner[0, 1] == threading.get_ident()  # the caller runs the first range
         assert owner[2, 4] != threading.get_ident() != owner[1, 2]
 
-    def test_graph_keeps_only_the_columns(self):
-        # The backward closure holds the (N, 9C, HW) columns and the flat
-        # kernel, and no padded copy of the input.
-        n, cin, cout, size = 4, 8, 8, 16
+    @pytest.mark.parametrize("n, threads", [(4, 1), (16, 2)], ids=["one-piece", "blocks"])
+    def test_graph_keeps_no_columns(self, n, threads):
+        # The backward closure holds the flat kernel and no (N, 9C, HW)
+        # columns or padded copy of the input: it gathers columns again from
+        # the input, which the node holds as a parent.  A block holds 7
+        # samples, so 4 are one piece and 16 at two threads are 3 blocks.
+        cin, cout, size = 8, 8, 16
+        assert (n <= ad._BLOCK_BYTES // (9 * 8 * cin * size * size)) == (threads == 1)
         rng = np.random.default_rng(11)
         x = ad.Parameter("x", rng.standard_normal((n, cin, size, size)))
         w = ad.Parameter("w", rng.standard_normal((cout, cin, 3, 3)))
         b = ad.Parameter("b", rng.standard_normal(cout))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            out = ad.conv2d(x, w, b)
-            kept = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        with ad.batch_threads(threads):
+            ad.conv2d(x, w, b)  # starts the pool threads before measuring
+            kept = held_bytes(lambda: ad.conv2d(x, w, b))
+        out_nbytes = n * cout * size * size * 8
         cols_nbytes = n * 9 * cin * size * size * 8
         padded_nbytes = n * cin * (size + 2) ** 2 * 8
         slack = 16 * 1024  # the flat kernel (4.6 kB) and the node's Python objects
-        assert slack < padded_nbytes
-        assert kept <= cols_nbytes + out.data.nbytes + slack
+        assert slack < padded_nbytes and out_nbytes + slack < cols_nbytes
+        assert kept <= out_nbytes + slack
 
     def test_single_image_rank_rejected(self):
         x = ad.Tensor(np.zeros((2, 4, 4)))

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from helpers import held_bytes
 from waveflow import autodiff as ad
 from waveflow.evaluate import wavelet_magnitude_score
 from waveflow.flows import build_glow
@@ -214,30 +214,34 @@ class TestScoring:
             rel = float(np.max(np.abs(p.grad - want))) / max(float(np.max(np.abs(want))), 1e-6)
             assert rel < 1e-3, f"{p.name} gradient off by {rel}"
 
-    def test_graph_free_forward_keeps_no_memory(self):
+    def test_graph_free_forward_keeps_no_memory(self, monkeypatch):
         # A level-5 pass over 8 images at 32 px, hidden 24: with the graph,
-        # every intermediate (each conv's im2col columns too) stays alive
-        # as long as the result does.
+        # every intermediate (each conv's output too, but no im2col
+        # columns) stays alive as long as the result does.
         model = build_waveletflow(image_size=32, steps_per_level=2, hidden=24)
         detail, low = model.component_inputs(np.random.default_rng(13).random((8, 1, 32, 32)))["level5"]
         flow = model.level_flows[5]
+        shapes = []
+        conv2d = ad.conv2d
 
-        def held_after(run) -> int:
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                result = run()  # noqa: F841  (kept alive while measuring)
-                return tracemalloc.get_traced_memory()[0] - before
-            finally:
-                tracemalloc.stop()
+        def recorded(x, weight, bias):
+            out = conv2d(x, weight, bias)
+            shapes.append((x.shape, out.shape))
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ad, "conv2d", recorded)
+            flow.log_prob_graph(detail, low)
+        outputs = sum(8 * math.prod(out) for _, out in shapes)
+        columns = sum(8 * 9 * math.prod(x) for x, _ in shapes)
 
         def graph_free():
             with ad.no_grad():
                 return flow.log_prob_graph(detail, low)
 
-        with_graph = held_after(lambda: flow.log_prob_graph(detail, low))
-        assert with_graph > 10e6
-        assert held_after(graph_free) < 0.01 * with_graph
+        with_graph = held_bytes(lambda: flow.log_prob_graph(detail, low))
+        assert outputs < with_graph < columns
+        assert held_bytes(graph_free) < 0.01 * with_graph
 
 
 class TestComponents:
