@@ -26,6 +26,11 @@ element gets the same bits as a scatter into a zero-padded buffer.  dW and
 the bias gradient are summed over the whole batch at the end, so no sum
 depends on the block size.
 
+``conv2d_relu`` is ``relu(conv2d(...))`` with one activation array: it
+applies the relu in place on the convolution's fresh output, and its
+backward takes the mask from that output.  ``channel_affine`` keeps only
+its output; its backward computes ``x - offset`` again.
+
 A backward pass reads its parents' ``data`` as the forward pass left it,
 so no tensor's data may be written between the forward and the backward
 pass; training writes parameters only in ``Adam.step``, after the
@@ -76,6 +81,7 @@ __all__ = [
     "squeeze2x2",
     "unsqueeze2x2",
     "conv2d",
+    "conv2d_relu",
     "squeeze2x2_array",
     "unsqueeze2x2_array",
     "finite_diff_grad",
@@ -369,12 +375,12 @@ def channel_affine(x, scale, offset) -> Tensor:
         )
     s_view = scale.data.reshape(C, 1, 1)
     o_view = offset.data.reshape(C, 1, 1)
-    centered = x.data - o_view
-    out = centered * s_view
+    out = (x.data - o_view) * s_view
 
     def back(g):
+        # x - offset again rather than a kept copy: the node holds only its output.
         gx = g * s_view
-        gscale = np.sum(g * centered, axis=(0, 2, 3))
+        gscale = np.sum(g * (x.data - o_view), axis=(0, 2, 3))
         goffset = -np.sum(g, axis=(0, 2, 3)) * scale.data
         return (gx, gscale, goffset)
 
@@ -557,6 +563,24 @@ def conv2d(x, weight, bias) -> Tensor:
         return (gx.reshape(N, Cin, H, W), dweight, dbias)
 
     return Tensor(out.reshape(N, Cout, H, W), (x, weight, bias), back)
+
+
+def conv2d_relu(x, weight, bias) -> Tensor:
+    """``relu(conv2d(x, weight, bias))`` with one activation array.
+
+    The relu is applied in place on the convolution's fresh output, with
+    ``relu``'s values (NaN and -0.0 become +0.0), and the node's parent is
+    the convolution's node, which shares that array.  The backward takes
+    its mask from the output: an entry is > 0 exactly where the
+    convolution's was.
+    """
+    conv = conv2d(x, weight, bias)
+    data = conv.data
+    # fmax gives 0.0 for a NaN or negative entry, perhaps -0.0 for a -0.0;
+    # adding +0.0 turns -0.0 into +0.0 and leaves every other value as is.
+    np.fmax(data, 0.0, out=data)
+    data += 0.0
+    return Tensor(data, (conv,), lambda g: (g * (data > 0.0),))
 
 
 def finite_diff_grad(loss_fn, params: list[Parameter], epsilon: float = 1e-4) -> list[np.ndarray]:

@@ -7,6 +7,16 @@ z = (x + t) * exp(s) on the transformed partition; the layer's
 log-determinant is the sum of s over that partition.  Scales are bounded
 to [-2, 2] with a tanh so exp can never overflow.
 
+A coupling's graph keeps one array per node: the pass-through input
+``t * m``, the two ReLU'd conv outputs (``autodiff.conv2d_relu``), the
+network output, and three nodes written here that repeat the generic ops'
+IEEE operations and gradient sums, so values and gradients keep their
+bits.  The s node is one node so that the gradients from z and from the
+log-det are summed before its backward, which computes the tanh again; the
+z node computes ``t + translation`` and ``exp(s)`` again; the log-det node
+keeps one value per sample.  The mask stays a (C,H,W) array broadcast
+over the batch.
+
 A model is ``scales``: L lists of K (``ActNorm``, ``AffineCoupling``)
 steps.  A step runs the actnorm, reverses the channel order and runs the
 coupling.  With L > 1 every scale starts with a space-to-depth squeeze
@@ -160,11 +170,13 @@ class ActNorm:
         self.scale.data[...] = scale
         self.initialized = True
 
-    def forward(self, t: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
+    def forward(self, t: ad.Tensor, logdet: bool = True) -> tuple[ad.Tensor, ad.Tensor | None]:
+        """(z, log-det); the log-det is None when ``logdet`` is False."""
         z = ad.channel_affine(t, self.scale, self.offset)
+        if not logdet:
+            return z, None
         hw = t.data.shape[-2] * t.data.shape[-1]
-        logdet = ad.affine(ad.reduce_sum(ad.log_abs(self.scale)), float(hw))
-        return z, logdet
+        return z, ad.affine(ad.reduce_sum(ad.log_abs(self.scale)), float(hw))
 
     def inverse(self, z: np.ndarray) -> tuple[np.ndarray, float]:
         view = (self.channels, 1, 1)
@@ -203,18 +215,13 @@ class AffineCoupling:
     def parameters(self) -> list[ad.Parameter]:
         return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
 
-    def _mask_tensors(self, shape: tuple[int, ...]) -> tuple[ad.Tensor, ad.Tensor]:
-        m = np.broadcast_to(self.mask.values, shape)
-        return ad.Tensor(m), ad.Tensor(1.0 - m)
-
-    def _scale_translation(self, u: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
-        h = ad.relu(ad.conv2d(u, self.w1, self.b1))
-        h = ad.relu(ad.conv2d(h, self.w2, self.b2))
+    def _network(self, u: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
+        """The bounded scale node and the network's (N, 2C, H, W) output,
+        whose second half is the translation."""
+        h = ad.conv2d_relu(u, self.w1, self.b1)
+        h = ad.conv2d_relu(h, self.w2, self.b2)
         out = ad.conv2d(h, self.w3, self.b3)
-        s_raw = ad.slice_channels(out, 0, self.channels)
-        t = ad.slice_channels(out, self.channels, 2 * self.channels)
-        s = ad.affine(ad.tanh(s_raw), _SCALE_BOUND)  # bounded before exp
-        return s, t
+        return _bounded_scale(out, self.channels), out
 
     def _net_input(self, passthrough: ad.Tensor, cond: ad.Tensor | None) -> ad.Tensor:
         if self.cond_channels:
@@ -223,24 +230,67 @@ class AffineCoupling:
             return ad.concat_channels([passthrough, cond])
         return passthrough
 
-    def forward(self, t: ad.Tensor, cond: ad.Tensor | None = None) -> tuple[ad.Tensor, ad.Tensor]:
-        m, m_inv = self._mask_tensors(t.data.shape)
-        passthrough = ad.mul(t, m)
-        s, trans = self._scale_translation(self._net_input(passthrough, cond))
-        moved = ad.mul(ad.mul(ad.add(t, trans), ad.exp(s)), m_inv)
-        z = ad.add(passthrough, moved)
-        logdet = ad.reduce_sum(ad.mul(s, m_inv), axes=_SAMPLE_AXES)
-        return z, logdet
+    def forward(
+        self, t: ad.Tensor, cond: ad.Tensor | None = None, logdet: bool = True
+    ) -> tuple[ad.Tensor, ad.Tensor | None]:
+        """(z, log-det); the log-det is None when ``logdet`` is False."""
+        passthrough = ad.mul(t, ad.Tensor(np.broadcast_to(self.mask.values, t.data.shape)))
+        s, out = self._network(self._net_input(passthrough, cond))
+        m_inv = 1.0 - self.mask.values
+        z = _coupled(t, passthrough, out, s, m_inv)
+        return z, _masked_sum(s, m_inv) if logdet else None
 
     def inverse(self, z: np.ndarray, cond: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         m = np.broadcast_to(self.mask.values, z.shape)
         passthrough = z * m
         cond_t = ad.Tensor(cond) if cond is not None else None
-        s, trans = self._scale_translation(self._net_input(ad.Tensor(passthrough), cond_t))
-        sd, td = s.data, trans.data
+        s, out = self._network(self._net_input(ad.Tensor(passthrough), cond_t))
+        sd, td = s.data, out.data[:, self.channels :]
         x = passthrough + (1.0 - m) * (z * np.exp(-sd) - td)
         logdet_gen = -np.sum(sd * (1.0 - m), axis=_SAMPLE_AXES)
         return x, logdet_gen
+
+
+def _bounded_scale(out: ad.Tensor, C: int) -> ad.Tensor:
+    """The s node: 2 tanh(out[:, :C]) + 0.0, as ``affine(tanh(slice))`` gives it."""
+    raw = out.data[:, :C]
+
+    def back(g):
+        th = np.tanh(raw)
+        full = np.zeros_like(out.data)
+        full[:, :C] = (g * _SCALE_BOUND) * (1.0 - th * th)
+        return (full,)
+
+    return ad.Tensor(_SCALE_BOUND * np.tanh(raw) + 0.0, (out,), back)
+
+
+def _coupled(t: ad.Tensor, passthrough: ad.Tensor, out: ad.Tensor, s: ad.Tensor, m_inv: np.ndarray) -> ad.Tensor:
+    """The z node: passthrough + (t + out[:, C:]) * exp(s) * m_inv, where
+    ``m_inv`` is the (C,H,W) 1 - m.  ``out`` gets a zero-padded gradient,
+    as from ``slice_channels``."""
+    C = s.data.shape[1]
+    tr = out.data[:, C:]
+    z = passthrough.data + ((t.data + tr) * np.exp(np.minimum(s.data, ad._EXP_MAX))) * m_inv
+
+    def back(g):
+        e = np.exp(np.minimum(s.data, ad._EXP_MAX))
+        g_moved = g * m_inv
+        g_shifted = g_moved * e
+        g_out = np.zeros_like(out.data)
+        g_out[:, C:] = g_shifted
+        g_s = (g_moved * (t.data + tr)) * np.where(s.data <= ad._EXP_MAX, e, 0.0)
+        return (g_shifted, g, g_out, g_s)
+
+    return ad.Tensor(z, (t, passthrough, out, s), back)
+
+
+def _masked_sum(s: ad.Tensor, m_inv: np.ndarray) -> ad.Tensor:
+    """The log-det node: the per-sample sum of s * m_inv."""
+    return ad.Tensor(
+        np.sum(s.data * m_inv, axis=_SAMPLE_AXES),
+        (s,),
+        lambda g: (np.expand_dims(g, _SAMPLE_AXES) * m_inv,),
+    )
 
 
 # One flow step: activation normalization, a channel reversal, a coupling.
@@ -319,7 +369,8 @@ class FlowModel:
     def _forward(self, t: ad.Tensor, cond_t: ad.Tensor | None, initialize: bool = False):
         """The normalizing traversal: returns (latents, the log-det of each
         actnorm and coupling in order).  With ``initialize``, every
-        uninitialized actnorm is first initialized on its own input.
+        uninitialized actnorm is first initialized on its own input, and
+        no log-det is computed: each entry is None.
 
         A non-finite output raises ``FlowNumericsError`` with the index of
         the layer that made it, counting squeezes, actnorms, reversals,
@@ -343,11 +394,11 @@ class FlowModel:
             for actnorm, coupling in steps:
                 if initialize and not actnorm.initialized:
                     actnorm.initialize(t.data)
-                t, ld = actnorm.forward(t)
+                t, ld = actnorm.forward(t, logdet=not initialize)
                 logdets.append(ld)
                 t = checked(t)
                 t = checked(ad.reverse_channels(t))
-                t, ld = coupling.forward(t, cond_t)
+                t, ld = coupling.forward(t, cond_t, logdet=not initialize)
                 logdets.append(ld)
                 t = checked(t)
             if i < last:

@@ -1,10 +1,12 @@
 """Oracles shared by several test modules: a random well-conditioned flow,
 a central-difference log-determinant, a brute-force pairwise AUC, the
-SHA-256 digest of float64 arrays that bit-exact pins compare, the bytes a
-call's result keeps allocated, a residue model that fails when it trains,
-and the usable core count that is the default of ``[run] threads``."""
+SHA-256 digest of float64 arrays that bit-exact pins compare, a bit-exact
+comparison of two graphs' outputs and input gradients, the bytes a call's
+result keeps allocated, a residue model that fails when it trains, and the
+usable core count that is the default of ``[run] threads``."""
 from __future__ import annotations
 
+import functools
 import hashlib
 import multiprocessing
 import os
@@ -12,6 +14,7 @@ import tracemalloc
 
 import numpy as np
 
+from waveflow import autodiff as ad
 from waveflow.flows import FlowModel
 from waveflow.waveletflow import GaussianBase
 
@@ -66,6 +69,59 @@ def digest(*arrays) -> str:
     for a in arrays:
         h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
     return h.hexdigest()
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and IEEE bit patterns; unlike ``np.array_equal`` this
+    tells -0.0 from +0.0."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _probed(arrays: dict[str, np.ndarray]) -> tuple[dict[str, ad.Tensor], dict[str, np.ndarray]]:
+    """Graph inputs, by name, that record the exact gradient each receives,
+    and the dict a backward pass fills with those gradients.  A
+    ``Parameter`` adds its gradient into a zero ``grad``, which turns -0.0
+    into +0.0; a probe keeps every bit."""
+    grads: dict[str, np.ndarray] = {}
+
+    def probe(name: str, value: np.ndarray) -> ad.Tensor:
+        def back(g):
+            grads[name] = np.array(g)
+            return (None,)
+
+        return ad.Tensor(value, (ad.Tensor(0.0),), back)
+
+    return {name: probe(name, value) for name, value in arrays.items()}, grads
+
+
+def assert_same_graph(fused, generic, arrays: dict, out_grads: tuple, threads: int = 1) -> None:
+    """``fused(**inputs)`` and ``generic(**inputs)`` return the same tuple of
+    outputs and send every input the same gradient of
+    sum_i sum(outputs[i] * out_grads[i]), bit for bit, at ``batch_threads``
+    width ``threads``."""
+    results = []
+    for build in (generic, fused):
+        inputs, grads = _probed(arrays)
+        with ad.batch_threads(threads):
+            outs = build(**inputs)
+            terms = [ad.reduce_sum(ad.mul(out, ad.Tensor(g))) for out, g in zip(outs, out_grads, strict=True)]
+            functools.reduce(ad.add, terms).backward()
+        results.append(([out.data for out in outs], grads))
+    (want, want_grads), (got, got_grads) = results
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert same_bits(a, b), f"output {i}"
+    assert sorted(got_grads) == sorted(want_grads) == sorted(arrays)
+    for name in arrays:
+        assert same_bits(got_grads[name], want_grads[name]), name
+
+
+def with_signed_zeros(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` with +0.0, -0.0, +0.0, -0.0 over its first four entries."""
+    a = np.array(a, dtype=np.float64)
+    flat = a.reshape(-1)
+    flat[0:4:2], flat[1:4:2] = 0.0, -0.0
+    return a
 
 
 def held_bytes(run) -> int:

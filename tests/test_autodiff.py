@@ -9,7 +9,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
-from helpers import held_bytes
+from helpers import assert_same_graph, held_bytes, same_bits, with_signed_zeros
 from waveflow import autodiff as ad
 
 
@@ -61,13 +61,6 @@ def padded_conv2d_reference(x, w, b, g):
             gxp[:, :, di : di + H, dj : dj + W] += dcols[:, k * C : (k + 1) * C, :].reshape(N, C, H, W)
             k += 1
     return out, gxp[:, :, 1 : 1 + H, 1 : 1 + W], dw, db
-
-
-def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Equal shapes and IEEE bit patterns; unlike ``np.array_equal`` this
-    tells -0.0 from +0.0."""
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def assert_conv_bit_equal(x, input_grad, rng, cout=3, kernel=None, out_grad=None, backward_threads=None):
@@ -290,6 +283,79 @@ class TestConv2d:
         b = ad.Tensor(np.zeros(1))
         with pytest.raises(ad.ShapeError):
             ad.conv2d(x, w, b)
+
+
+def centered_channel_affine(x, scale, offset) -> ad.Tensor:
+    """``channel_affine`` as a node that keeps ``x - offset`` for its
+    backward (the unfused oracle)."""
+    C = x.data.shape[1]
+    s_view, o_view = scale.data.reshape(C, 1, 1), offset.data.reshape(C, 1, 1)
+    centered = x.data - o_view
+
+    def back(g):
+        return g * s_view, np.sum(g * centered, axis=(0, 2, 3)), -np.sum(g, axis=(0, 2, 3)) * scale.data
+
+    return ad.Tensor(centered * s_view, (x, scale, offset), back)
+
+
+class TestFusedNodes:
+    """Each fused node against the generic op chain it replaces, on inputs
+    and output gradients with +0.0 and -0.0 entries."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_conv2d_relu_keeps_the_bits(self, threads, monkeypatch):
+        rng = np.random.default_rng(41)
+        arrays = {
+            "x": with_signed_zeros(rng.standard_normal((5, 3, 5, 5))),
+            "weight": rng.standard_normal((4, 3, 3, 3)),
+            "bias": rng.standard_normal(4),
+        }
+        # 500 outputs: numpy's fmax runs 8 lanes at a time on AVX-512 and
+        # leaves a tail of 4, where fmax(-0.0, 0.0) is -0.0 and not +0.0.
+        out_grad = with_signed_zeros(rng.standard_normal((5, 4, 5, 5)))
+        conv = ad.conv2d
+
+        def spiked(x, weight, bias):  # +0.0, -0.0 and NaN into the relu, at every offset mod 8
+            out = conv(x, weight, bias)
+            flat = out.data.reshape(-1)
+            flat[0::5], flat[1::3], flat[2::11] = 0.0, -0.0, np.nan
+            assert np.signbit(flat[496])  # the first entry of the tail
+            return out
+
+        # conv2d_relu reaches the convolution through the module attribute.
+        monkeypatch.setattr(ad, "conv2d", spiked)
+        assert_same_graph(
+            lambda **a: (ad.conv2d_relu(**a),), lambda **a: (ad.relu(ad.conv2d(**a)),), arrays, (out_grad,), threads
+        )
+        x, w, b = (ad.Tensor(a) for a in arrays.values())
+        fused, generic = ad.conv2d_relu(x, w, b), ad.relu(ad.conv2d(x, w, b))
+        assert not np.signbit(fused.data).any() and not np.isnan(fused.data).any()
+        assert same_bits(fused._backward(out_grad)[0], generic._backward(out_grad)[0])
+
+    def test_conv2d_relu_holds_one_activation_array(self):
+        # The relu works in place: the node and its convolution share the output.
+        rng = np.random.default_rng(43)
+        x = ad.Tensor(rng.standard_normal((4, 8, 16, 16)))
+        w, b = ad.Tensor(rng.standard_normal((8, 8, 3, 3))), ad.Tensor(rng.standard_normal(8))
+        ad.conv2d_relu(x, w, b)
+        kept = held_bytes(lambda: ad.conv2d_relu(x, w, b))
+        out_nbytes = 4 * 8 * 16 * 16 * 8
+        slack = 16 * 1024  # the flat kernel (4.6 kB) and the nodes' Python objects
+        assert kept <= out_nbytes + slack < 2 * out_nbytes
+        with ad.no_grad():
+            assert ad.conv2d_relu(x, w, b)._parents == ()
+
+    def test_channel_affine_keeps_the_bits(self):
+        rng = np.random.default_rng(47)
+        arrays = {
+            "x": with_signed_zeros(rng.standard_normal((6, 3, 5, 5))),
+            "scale": rng.standard_normal(3),
+            "offset": rng.standard_normal(3),
+        }
+        out_grad = with_signed_zeros(rng.standard_normal((6, 3, 5, 5)))
+        assert_same_graph(
+            lambda **a: (ad.channel_affine(**a),), lambda **a: (centered_channel_affine(**a),), arrays, (out_grad,)
+        )
 
 
 class TestForwardValues:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from waveflow import autodiff as ad
+from waveflow import flows
 from waveflow.flows import (
     ActNorm,
     AffineCoupling,
@@ -19,7 +20,7 @@ from waveflow.flows import (
 )
 from waveflow.masks import make_mask
 
-from helpers import numeric_logabsdet, randomize
+from helpers import assert_same_graph, held_bytes, numeric_logabsdet, randomize, with_signed_zeros
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -96,7 +97,7 @@ class TestCoupling:
         for p in layer.parameters():
             p.data[...] = 1e4
         x = rng.standard_normal((1, 1, 4, 4))
-        s, _ = layer._scale_translation(ad.Tensor(x))
+        s, _ = layer._network(ad.Tensor(x))
         assert np.all(np.abs(s.data) <= 2.0)
         z, logdet = layer.forward(ad.Tensor(x))
         assert np.all(np.isfinite(z.data)) and np.isfinite(logdet.data)
@@ -120,7 +121,88 @@ class TestCoupling:
             layer.forward(ad.Tensor(np.zeros((1, 1, 4, 4))))
 
 
+def generic_coupling(layer: AffineCoupling, t: ad.Tensor, cond: ad.Tensor | None = None):
+    """``AffineCoupling.forward`` built from generic engine ops, with full
+    mask tensors: the unfused oracle of the coupling's nodes."""
+    C = layer.channels
+    m = np.broadcast_to(layer.mask.values, t.data.shape)
+    m, m_inv = ad.Tensor(m), ad.Tensor(1.0 - m)
+    passthrough = ad.mul(t, m)
+    u = passthrough if cond is None else ad.concat_channels([passthrough, cond])
+    h = ad.relu(ad.conv2d(u, layer.w1, layer.b1))
+    h = ad.relu(ad.conv2d(h, layer.w2, layer.b2))
+    out = ad.conv2d(h, layer.w3, layer.b3)
+    s = ad.affine(ad.tanh(ad.slice_channels(out, 0, C)), 2.0)
+    shifted = ad.add(t, ad.slice_channels(out, C, 2 * C))
+    z = ad.add(passthrough, ad.mul(ad.mul(shifted, ad.exp(s)), m_inv))
+    return z, ad.reduce_sum(ad.mul(s, m_inv), axes=(1, 2, 3))
+
+
+WEIGHTS = ("w1", "b1", "w2", "b2", "w3", "b3")
+
+
+class TestFusedCoupling:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("cond_channels", [0, 2], ids=["unconditional", "conditional"])
+    @pytest.mark.parametrize("strategy", ["channel-half", "checkerboard", "radial"])
+    def test_same_bits_as_the_generic_graph(self, strategy, cond_channels, threads):
+        # z, the log-det and the gradient every input receives, bit for bit,
+        # on inputs and output gradients with +0.0 and -0.0 entries.
+        rng = np.random.default_rng(60 + cond_channels + threads)
+        shape = (5, 4, 6, 6)
+        layer = AffineCoupling(make_mask(strategy, 1, shape[1:]), cond_channels, hidden=6, rng=rng)
+        arrays = {name: rng.normal(0.0, 0.5, getattr(layer, name).data.shape) for name in WEIGHTS}
+        arrays["b1"][0] = np.nan  # a whole channel of NaN into the first relu
+        arrays["t"] = with_signed_zeros(rng.standard_normal(shape))
+        if cond_channels:
+            arrays["cond"] = with_signed_zeros(rng.standard_normal((5, cond_channels, 6, 6)))
+        out_grads = with_signed_zeros(rng.standard_normal(shape)), with_signed_zeros(rng.standard_normal(5))
+
+        def on_layer(forward):
+            def run(t, cond=None, **weights):
+                for name, w in weights.items():
+                    setattr(layer, name, w)
+                z, logdet = forward(layer, t, cond)
+                assert np.all(np.isfinite(z.data))
+                return z, logdet
+
+            return run
+
+        assert_same_graph(on_layer(AffineCoupling.forward), on_layer(generic_coupling), arrays, out_grads, threads)
+
+    def test_forward_holds_only_its_node_outputs(self):
+        # The graph of one coupling keeps the pass-through input, the three
+        # conv outputs (the relus act in place), s and z: no relu copies, no
+        # full mask and no elementwise intermediates.
+        rng = np.random.default_rng(64)
+        N, C, H, hidden = 32, 4, 16, 24
+        layer = AffineCoupling(make_mask("checkerboard", 0, (C, H, H)), 0, hidden, rng)
+        for p in layer.parameters():
+            p.data[...] = rng.normal(0.0, 0.1, p.data.shape)
+        t = ad.Tensor(rng.standard_normal((N, C, H, H)))
+        layer.forward(t)
+        kept = held_bytes(lambda: layer.forward(t))
+        image = N * C * H * H * 8  # passthrough, s and z are each this size
+        passthrough, s, z = image, image, image
+        conv1 = conv2 = N * hidden * H * H * 8
+        conv3 = N * 2 * C * H * H * 8
+        kernels = 8 * 9 * hidden * (C + hidden + 2 * C)  # the three flat kernels
+        slack = kernels + 16 * 1024  # 1 - m and the nodes' Python objects
+        assert slack < image
+        assert kept <= passthrough + conv1 + conv2 + conv3 + s + z + slack
+
+
 class TestActNorm:
+    def test_forward_holds_only_its_output(self):
+        # The backward computes x - offset again instead of keeping it.
+        layer = ActNorm(4)
+        t = ad.Tensor(np.random.default_rng(12).standard_normal((32, 4, 16, 16)))
+        layer.forward(t)
+        kept = held_bytes(lambda: layer.forward(t))
+        out_nbytes = 32 * 4 * 16 * 16 * 8
+        slack = 16 * 1024  # the log-det nodes and the Python objects
+        assert kept <= out_nbytes + slack < 2 * out_nbytes
+
     def test_initialization_whitens_the_init_batch(self):
         rng = np.random.default_rng(8)
         layer = ActNorm(3)
@@ -239,6 +321,16 @@ class TestLogDet:
 
 
 class TestModelPlumbing:
+    def test_actnorm_initialization_computes_no_logdet(self, monkeypatch):
+        def unused(*args, **kwargs):
+            raise AssertionError("initialize_actnorm computed a log-det")
+
+        monkeypatch.setattr(ad, "log_abs", unused)
+        monkeypatch.setattr(flows, "_masked_sum", unused)
+        model = build_glow(K=2, L=2, in_channels=1, image_size=8, hidden=4)
+        model.initialize_actnorm(np.random.default_rng(13).standard_normal((4, 1, 8, 8)))
+        assert all(layer.initialized for layer in model.actnorm_layers())
+
     def test_latent_dims_sum_to_input_dims(self):
         for K, L, size in [(1, 1, 4), (2, 2, 8), (2, 3, 16)]:
             model = build_glow(K=K, L=L, in_channels=1, image_size=size, mask_strategy="checkerboard")
