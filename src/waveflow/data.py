@@ -11,16 +11,25 @@ regardless of amplitude settings (draw, then scale).  Two consequences:
 generation is order- and thread-independent, and a class knob set to
 zero contributes exactly nothing — profiles that differ only in blob
 radius produce pixel-identical images when fed the same stream.
+
+Rendering has two steps.  The draw takes one image's random numbers
+from its stream; the paint applies the per-pixel formulas once over a
+(B,S,S) chunk of draws of one profile.  The coordinate grids and the
+texture's frequency band are built once per image size.  Every formula
+is elementwise per image, so an image's bits do not depend on the chunk
+it is painted in; ``render_image`` is the chunk of one.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,8 +80,7 @@ def save_image(image: np.ndarray, path: str | os.PathLike) -> None:
     h, w = image.shape
     levels = np.rint(image * 255.0).astype(np.uint8)
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(levels.tobytes())
+        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii") + levels.tobytes())
 
 
 def _header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
@@ -289,82 +297,141 @@ class SynthConfig:
         self.ood.validate("ood")
 
 
-def _band_limited_noise(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Unit-variance noise restricted to high spatial frequencies, so the
-    texture's energy concentrates in the finest pyramid levels."""
-    white = rng.normal(0.0, 1.0, (size, size))
+_HARMONICS = np.arange(2.0, 7.0)  # the border's radial harmonics
+_CURVE_T = np.linspace(0.0, 1.0, 48)[:, None]  # where a hair stroke's curve is sampled
+# Quadratic Bezier weights of a stroke's start, control and end points, (48, 1) each.
+_BEZIER = ((1 - _CURVE_T) ** 2, 2 * _CURVE_T * (1 - _CURVE_T), _CURVE_T**2)
+_CHUNK = 16  # images painted together; a larger chunk holds larger per-pixel arrays
+
+
+class _Grid(NamedTuple):
+    """The per-pixel constants of one image size."""
+
+    yy: np.ndarray  # (S,S) row of each pixel
+    xx: np.ndarray  # (S,S) column of each pixel
+    ramp_y: np.ndarray  # (S,S) yy / S - 0.5, the background gradient's axes
+    ramp_x: np.ndarray
+    band: np.ndarray  # (S,S) the texture's high-frequency FFT pass band
+
+
+@functools.lru_cache(maxsize=None)
+def _grid(size: int) -> _Grid:
+    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
     fy = np.fft.fftfreq(size)[:, None]
     fx = np.fft.fftfreq(size)[None, :]
     rho = np.sqrt(fx * fx + fy * fy) / 0.5  # 1.0 at the Nyquist frequency
     band = (rho >= 0.6) & (rho <= 0.95)
-    shaped = np.fft.ifft2(np.fft.fft2(white) * band).real
-    std = shaped.std()
-    return shaped / std if std > 1e-12 else shaped
+    grid = _Grid(yy, xx, yy / size - 0.5, xx / size - 0.5, band)
+    for array in grid:
+        array.flags.writeable = False
+    return grid
 
 
-def _hair_stroke(rng: np.random.Generator, size: int, yy: np.ndarray, xx: np.ndarray) -> np.ndarray:
-    """Darkening field of one curved stroke (a quadratic arc of ~image length)."""
-    cy, cx = rng.uniform(0.2 * size, 0.8 * size, 2)
-    angle = rng.uniform(0.0, 2.0 * math.pi)
-    length = size * rng.uniform(0.7, 1.2)
-    bend = rng.uniform(-0.15, 0.15) * length
-    width = rng.uniform(0.5, 1.1)
-    darkness = rng.uniform(0.2, 0.45)
-    ux, uy = math.cos(angle), math.sin(angle)
-    p0 = np.array([cx - 0.5 * length * ux, cy - 0.5 * length * uy])
-    p2 = np.array([cx + 0.5 * length * ux, cy + 0.5 * length * uy])
-    p1 = np.array([cx - bend * uy, cy + bend * ux])  # control point off the chord
-    t = np.linspace(0.0, 1.0, 48)[:, None]
-    curve = (1 - t) ** 2 * p0 + 2 * t * (1 - t) * p1 + t**2 * p2  # (48, 2) as (x, y)
-    dx = xx[None, :, :] - curve[:, 0, None, None]
-    dy = yy[None, :, :] - curve[:, 1, None, None]
-    dist = np.sqrt(dx * dx + dy * dy).min(axis=0)
-    return darkness * np.exp(-((dist / width) ** 2))
+class _Draw(NamedTuple):
+    """One image's random numbers, with the per-image scalars derived from them."""
+
+    brightness: float
+    gradient: tuple[float, float, float]  # the background gradient's magnitude, cos and sin of its angle
+    center: tuple[float, float]  # (cy, cx)
+    radius: float
+    contrast: float
+    amplitudes: np.ndarray  # (5,) one per harmonic
+    phases: np.ndarray  # (5,)
+    shade_dir: np.ndarray  # (2,) as (x, y)
+    white: np.ndarray  # (S,S) the texture's white noise
+    strokes: list[tuple[np.ndarray, float, float]]  # hair: (curve (48, 2) as (x, y), width, darkness)
 
 
-def render_image(config: SynthConfig, profile: LesionProfile, rng: np.random.Generator) -> np.ndarray:
-    """One (1,S,S) image: a soft-edged blob on a shaded background, with the
-    profile's irregular-border / texture / hair features scaled in."""
+def _draw(config: SynthConfig, profile: LesionProfile, rng: np.random.Generator) -> _Draw:
+    """Take every random number an image needs from its stream, in an order
+    that no amplitude knob changes."""
     size = config.image_size
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
-
     brightness = rng.uniform(*config.brightness)
     gradient_angle = rng.uniform(0.0, 2.0 * math.pi)
     gradient_mag = rng.uniform(0.0, 1.0) * config.background_gradient
-    image = brightness + gradient_mag * (
-        (xx / size - 0.5) * math.cos(gradient_angle) + (yy / size - 0.5) * math.sin(gradient_angle)
-    )
-
     cy, cx = rng.uniform(0.38 * size, 0.62 * size, 2)
     radius = size * rng.uniform(*profile.radius)
     contrast = rng.uniform(*profile.contrast)
+    amplitudes = rng.normal(0.0, 1.0, len(_HARMONICS)) / _HARMONICS
+    phases = rng.uniform(0.0, 2.0 * math.pi, len(_HARMONICS))
+    shade_dir = rng.normal(0.0, 1.0, 2)
+    white = rng.normal(0.0, 1.0, (size, size))
+    strokes = []
+    for _ in range(int(rng.integers(profile.hair_strokes[0], profile.hair_strokes[1] + 1))):
+        # A curved stroke: a quadratic arc of about the image's length.
+        scy, scx = rng.uniform(0.2 * size, 0.8 * size, 2)
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        length = size * rng.uniform(0.7, 1.2)
+        bend = rng.uniform(-0.15, 0.15) * length
+        width = rng.uniform(0.5, 1.1)
+        darkness = rng.uniform(0.2, 0.45)
+        ux, uy = math.cos(angle), math.sin(angle)
+        p0 = np.array([scx - 0.5 * length * ux, scy - 0.5 * length * uy])
+        p2 = np.array([scx + 0.5 * length * ux, scy + 0.5 * length * uy])
+        p1 = np.array([scx - bend * uy, scy + bend * ux])  # control point off the chord
+        strokes.append((_BEZIER[0] * p0 + _BEZIER[1] * p1 + _BEZIER[2] * p2, width, darkness))
+    gradient = (gradient_mag, math.cos(gradient_angle), math.sin(gradient_angle))
+    return _Draw(brightness, gradient, (cy, cx), radius, contrast, amplitudes, phases, shade_dir, white, strokes)
+
+
+def _paint(config: SynthConfig, profile: LesionProfile, draws: list[_Draw]) -> np.ndarray:
+    """A (B,S,S) chunk, one image per draw: a soft-edged blob on a shaded
+    background, with the profile's irregular-border / texture / hair
+    features scaled in.  Each formula runs once over the whole chunk."""
+    grid = _grid(config.image_size)
+
+    def per_image(values) -> np.ndarray:  # (B, ...) values, broadcast over each image's pixels
+        return np.array(values, dtype=np.float64)[..., None, None]
+
+    gradient_mag, cos, sin = per_image([d.gradient for d in draws]).swapaxes(0, 1)
+    cy, cx = per_image([d.center for d in draws]).swapaxes(0, 1)
+    radius = per_image([d.radius for d in draws])
+    shade_x, shade_y = per_image([d.shade_dir for d in draws]).swapaxes(0, 1)
+    image = per_image([d.brightness for d in draws]) + gradient_mag * (grid.ramp_x * cos + grid.ramp_y * sin)
 
     # Radial border perturbation: fixed harmonic budget, scaled by the knob.
-    harmonics = np.arange(2, 7)
-    amplitudes = rng.normal(0.0, 1.0, len(harmonics)) / harmonics
-    phases = rng.uniform(0.0, 2.0 * math.pi, len(harmonics))
-    theta = np.arctan2(yy - cy, xx - cx)
-    wobble = np.sum(
-        amplitudes[:, None, None] * np.cos(harmonics[:, None, None] * theta[None] + phases[:, None, None]),
-        axis=0,
-    )
+    dy = grid.yy - cy
+    dx = grid.xx - cx
+    # The (B,5,S,S) terms are updated in place: a fresh array that large
+    # costs more in page faults than the arithmetic.
+    terms = _HARMONICS[:, None, None] * np.arctan2(dy, dx)[:, None]
+    terms += per_image([d.phases for d in draws])
+    np.cos(terms, out=terms)
+    terms *= per_image([d.amplitudes for d in draws])
+    wobble = terms.sum(axis=1)
     local_radius = radius * (1.0 + profile.border_irregularity * wobble)
 
-    shade_dir = rng.normal(0.0, 1.0, 2)
-    texture_field = _band_limited_noise(rng, size)
+    # Unit-variance noise restricted to high spatial frequencies, so the
+    # texture's energy concentrates in the finest pyramid levels.
+    shaped = np.fft.ifft2(np.fft.fft2(np.array([d.white for d in draws])) * grid.band).real
+    std = shaped.std(axis=(-2, -1), keepdims=True)
+    texture_field = shaped / np.where(std > 1e-12, std, 1.0)
 
-    dist = np.sqrt((yy - cy) ** 2 + (xx - cx) ** 2)
-    edge = max(profile.edge_width * radius, 1e-6)
+    dist = np.sqrt(dy**2 + dx**2)
+    edge = np.maximum(profile.edge_width * radius, 1e-6)
     mask = 1.0 / (1.0 + np.exp((dist - local_radius) / edge))
-    interior_shade = profile.shading * (shade_dir[0] * (xx - cx) + shade_dir[1] * (yy - cy)) / radius
-    image = image - contrast * mask * (1.0 + interior_shade)
+    interior_shade = profile.shading * (shade_x * dx + shade_y * dy) / radius
+    image = image - per_image([d.contrast for d in draws]) * mask * (1.0 + interior_shade)
     image = image + profile.texture * texture_field * mask
 
-    count = int(rng.integers(profile.hair_strokes[0], profile.hair_strokes[1] + 1))
-    for _ in range(count):
-        image = image - _hair_stroke(rng, size, yy, xx)
+    squares = np.empty((len(_CURVE_T), *grid.xx.shape))
+    for painted, d in zip(image, draws):
+        for curve, width, darkness in d.strokes:
+            # Distance to the nearest of the curve's points.  sqrt is monotone
+            # and correctly rounded, so one sqrt after the min gives the bits
+            # of a sqrt per point.
+            dx = grid.xx[0] - curve[:, 0, None]  # (48, S)
+            dy = grid.xx[0] - curve[:, 1, None]
+            np.add((dx * dx)[:, None, :], (dy * dy)[:, :, None], out=squares)
+            stroke_dist = np.sqrt(squares.min(axis=0))
+            painted -= darkness * np.exp(-((stroke_dist / width) ** 2))
 
-    return np.clip(image, 0.0, 1.0)[None]
+    return np.clip(image, 0.0, 1.0)
+
+
+def render_image(config: SynthConfig, profile: LesionProfile, rng: np.random.Generator) -> np.ndarray:
+    """One (1,S,S) image drawn from ``rng``: a chunk of one."""
+    return _paint(config, profile, [_draw(config, profile, rng)])
 
 
 _SPLIT_CODE = {"train": 1, "test": 2}
@@ -380,7 +447,8 @@ def generate_synthetic(
 ) -> DatasetManifest:
     """Write the dataset (graymaps + manifest.csv) and return its manifest.
 
-    Per-image seeds make output bytes independent of thread count.
+    Images are painted in chunks of one (split, label); per-image seeds
+    make the output bytes independent of the chunking and the thread count.
     """
     config.validate()
     out = Path(out_dir)
@@ -389,33 +457,35 @@ def generate_synthetic(
     except OSError as exc:
         raise OSError(f"cannot create dataset directory {out}: {exc}") from exc
 
-    jobs: list[tuple[ManifestRecord, LesionProfile, int]] = []
+    records: list[ManifestRecord] = []
+    chunks: list[tuple[LesionProfile, list[tuple[ManifestRecord, int]]]] = []
     plan = [
         ("train", "in_dist", config.train_in_dist, config.in_dist),
         ("test", "in_dist", config.test_in_dist, config.in_dist),
         ("test", "ood", config.test_ood, config.ood),
     ]
     for split, label, count, profile in plan:
-        for index in range(count):
-            rec = ManifestRecord(
-                path=f"images/{split}_{label}_{index:04d}.pgm", label=label, split=split
-            )
-            jobs.append((rec, profile, index))
+        group = [
+            (ManifestRecord(path=f"images/{split}_{label}_{index:04d}.pgm", label=label, split=split), index)
+            for index in range(count)
+        ]
+        records += [rec for rec, _ in group]
+        chunks += [(profile, group[start : start + _CHUNK]) for start in range(0, count, _CHUNK)]
 
-    def render_and_save(job):
-        rec, profile, index = job
-        rng = _image_rng(config.seed, rec.split, rec.label, index)
-        image = render_image(config, profile, rng)
-        save_image(image, out / rec.path)
+    def paint_and_save(chunk):
+        profile, members = chunk
+        draws = [_draw(config, profile, _image_rng(config.seed, rec.split, rec.label, i)) for rec, i in members]
+        for (rec, _), image in zip(members, _paint(config, profile, draws)):
+            save_image(image, out / rec.path)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(render_and_save, jobs))
+            list(pool.map(paint_and_save, chunks))
     else:
-        for job in jobs:
-            render_and_save(job)
+        for chunk in chunks:
+            paint_and_save(chunk)
 
-    manifest = DatasetManifest(records=tuple(rec for rec, _, _ in jobs), root=str(out))
+    manifest = DatasetManifest(records=tuple(records), root=str(out))
     write_manifest(manifest, out / "manifest.csv")
     return manifest
 

@@ -2,12 +2,15 @@
 a central-difference log-determinant, a brute-force pairwise AUC, the
 SHA-256 digest of float64 arrays that bit-exact pins compare, a bit-exact
 comparison of two graphs' outputs and input gradients, the bytes a call's
-result keeps allocated, a residue model that fails when it trains, and the
-usable core count that is the default of ``[run] threads``."""
+result keeps allocated, a residue model that fails when it trains, the
+usable core count that is the default of ``[run] threads``, and the
+one-image-at-a-time synthetic lesion renderer that ``data.render_image``
+must reproduce byte for byte."""
 from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import multiprocessing
 import os
 import tracemalloc
@@ -151,3 +154,86 @@ class FaultyBase(GaussianBase):
         if self.exit_code is not None and multiprocessing.parent_process() is not None:
             os._exit(self.exit_code)
         raise LookupError("the faulty base failed")
+
+
+# ---------------------------------------------------------------------------
+# Reference synthetic lesion renderer: one image at a time, every per-pixel
+# field built from scratch, every stroke distance a sqrt before the min.
+
+
+def _band_limited_noise(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Unit-variance noise restricted to high spatial frequencies, so the
+    texture's energy concentrates in the finest pyramid levels."""
+    white = rng.normal(0.0, 1.0, (size, size))
+    fy = np.fft.fftfreq(size)[:, None]
+    fx = np.fft.fftfreq(size)[None, :]
+    rho = np.sqrt(fx * fx + fy * fy) / 0.5  # 1.0 at the Nyquist frequency
+    band = (rho >= 0.6) & (rho <= 0.95)
+    shaped = np.fft.ifft2(np.fft.fft2(white) * band).real
+    std = shaped.std()
+    return shaped / std if std > 1e-12 else shaped
+
+
+def _hair_stroke(rng: np.random.Generator, size: int, yy: np.ndarray, xx: np.ndarray) -> np.ndarray:
+    """Darkening field of one curved stroke (a quadratic arc of ~image length)."""
+    cy, cx = rng.uniform(0.2 * size, 0.8 * size, 2)
+    angle = rng.uniform(0.0, 2.0 * math.pi)
+    length = size * rng.uniform(0.7, 1.2)
+    bend = rng.uniform(-0.15, 0.15) * length
+    width = rng.uniform(0.5, 1.1)
+    darkness = rng.uniform(0.2, 0.45)
+    ux, uy = math.cos(angle), math.sin(angle)
+    p0 = np.array([cx - 0.5 * length * ux, cy - 0.5 * length * uy])
+    p2 = np.array([cx + 0.5 * length * ux, cy + 0.5 * length * uy])
+    p1 = np.array([cx - bend * uy, cy + bend * ux])  # control point off the chord
+    t = np.linspace(0.0, 1.0, 48)[:, None]
+    curve = (1 - t) ** 2 * p0 + 2 * t * (1 - t) * p1 + t**2 * p2  # (48, 2) as (x, y)
+    dx = xx[None, :, :] - curve[:, 0, None, None]
+    dy = yy[None, :, :] - curve[:, 1, None, None]
+    dist = np.sqrt(dx * dx + dy * dy).min(axis=0)
+    return darkness * np.exp(-((dist / width) ** 2))
+
+
+def reference_render_image(config, profile, rng: np.random.Generator) -> np.ndarray:
+    """One (1,S,S) image: a soft-edged blob on a shaded background, with the
+    profile's irregular-border / texture / hair features scaled in."""
+    size = config.image_size
+    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
+
+    brightness = rng.uniform(*config.brightness)
+    gradient_angle = rng.uniform(0.0, 2.0 * math.pi)
+    gradient_mag = rng.uniform(0.0, 1.0) * config.background_gradient
+    image = brightness + gradient_mag * (
+        (xx / size - 0.5) * math.cos(gradient_angle) + (yy / size - 0.5) * math.sin(gradient_angle)
+    )
+
+    cy, cx = rng.uniform(0.38 * size, 0.62 * size, 2)
+    radius = size * rng.uniform(*profile.radius)
+    contrast = rng.uniform(*profile.contrast)
+
+    # Radial border perturbation: fixed harmonic budget, scaled by the knob.
+    harmonics = np.arange(2, 7)
+    amplitudes = rng.normal(0.0, 1.0, len(harmonics)) / harmonics
+    phases = rng.uniform(0.0, 2.0 * math.pi, len(harmonics))
+    theta = np.arctan2(yy - cy, xx - cx)
+    wobble = np.sum(
+        amplitudes[:, None, None] * np.cos(harmonics[:, None, None] * theta[None] + phases[:, None, None]),
+        axis=0,
+    )
+    local_radius = radius * (1.0 + profile.border_irregularity * wobble)
+
+    shade_dir = rng.normal(0.0, 1.0, 2)
+    texture_field = _band_limited_noise(rng, size)
+
+    dist = np.sqrt((yy - cy) ** 2 + (xx - cx) ** 2)
+    edge = max(profile.edge_width * radius, 1e-6)
+    mask = 1.0 / (1.0 + np.exp((dist - local_radius) / edge))
+    interior_shade = profile.shading * (shade_dir[0] * (xx - cx) + shade_dir[1] * (yy - cy)) / radius
+    image = image - contrast * mask * (1.0 + interior_shade)
+    image = image + profile.texture * texture_field * mask
+
+    count = int(rng.integers(profile.hair_strokes[0], profile.hair_strokes[1] + 1))
+    for _ in range(count):
+        image = image - _hair_stroke(rng, size, yy, xx)
+
+    return np.clip(image, 0.0, 1.0)[None]

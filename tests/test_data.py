@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import re
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_render_image, same_bits
 from waveflow.data import (
     DatasetManifest,
     LesionProfile,
@@ -14,7 +16,9 @@ from waveflow.data import (
     ManifestRecord,
     PgmError,
     SynthConfig,
+    _draw,
     _image_rng,
+    _paint,
     generate_synthetic,
     load_image,
     load_split,
@@ -26,6 +30,17 @@ from waveflow.data import (
 from waveflow.haar import build_pyramid
 
 SMALL = dataclasses.replace(SynthConfig(), train_in_dist=6, test_in_dist=4, test_ood=4)
+# Every class feature well above the defaults, with three to six hair strokes an image.
+ALL_KNOBS_UP = LesionProfile(
+    radius=(0.1, 0.45),
+    contrast=(0.2, 0.9),
+    edge_width=0.6,
+    shading=0.5,
+    border_irregularity=0.3,
+    texture=0.2,
+    hair_strokes=(3, 6),
+)
+PROFILES = {"in_dist": SynthConfig().in_dist, "ood": SynthConfig().ood, "all_knobs_up": ALL_KNOBS_UP}
 
 
 def knobs_off(profile: LesionProfile) -> LesionProfile:
@@ -61,6 +76,32 @@ def tree_digest(root):
         digest.update(str(path.relative_to(root)).encode())
         digest.update(path.read_bytes())
     return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def reference_images(size: int, name: str, count: int = 200) -> tuple[np.ndarray, ...]:
+    """The reference renderer's images 0..count-1 of a profile at a size."""
+    cfg = dataclasses.replace(SynthConfig(), image_size=size)
+    return tuple(reference_render_image(cfg, PROFILES[name], _image_rng(size, "test", "ood", i)) for i in range(count))
+
+
+def write_reference_tree(config: SynthConfig, root) -> None:
+    """The dataset ``generate_synthetic`` must write, one image at a time
+    from the reference renderer, in the graymap format spelled out here."""
+    records = []
+    for split, label, count, profile in [
+        ("train", "in_dist", config.train_in_dist, config.in_dist),
+        ("test", "in_dist", config.test_in_dist, config.in_dist),
+        ("test", "ood", config.test_ood, config.ood),
+    ]:
+        for index in range(count):
+            rec = ManifestRecord(f"images/{split}_{label}_{index:04d}.pgm", label, split)
+            image = reference_render_image(config, profile, _image_rng(config.seed, split, label, index))[0]
+            (root / "images").mkdir(parents=True, exist_ok=True)
+            header = f"P5\n{config.image_size} {config.image_size}\n255\n".encode("ascii")
+            (root / rec.path).write_bytes(header + np.rint(image * 255.0).astype(np.uint8).tobytes())
+            records.append(rec)
+    write_manifest(DatasetManifest(records=tuple(records)), root / "manifest.csv")
 
 
 class TestPgm:
@@ -143,6 +184,10 @@ class TestPgm:
         else:
             assert image.dtype == np.float64 and image.ndim == 3 and image.shape[0] == 1
             assert 0.0 <= image.min() and image.max() <= 1.0
+
+    def test_save_writes_header_and_payload(self, tmp_path):
+        save_image(np.array([[0.0, 1.0, 0.5]]), tmp_path / "a.pgm")
+        assert (tmp_path / "a.pgm").read_bytes() == b"P5\n3 1\n255\n" + bytes([0, 255, 128])
 
     def test_save_rejects_out_of_range(self, tmp_path):
         with pytest.raises(PgmError, match=r"\[0,1\]"):
@@ -227,6 +272,42 @@ class TestManifest:
         assert len(manifest.select(split="train")) == 3
         assert len(manifest.select(split="test", label="ood")) == 3
         assert manifest.select(label="in_dist")[0].split == "train"
+
+
+class TestRendererOracle:
+    """The chunked renderer against the one-image reference renderer, bit for bit."""
+
+    @pytest.mark.parametrize("size", [4, 8, 32, 64])
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_render_image_matches_reference(self, name, size):
+        cfg = dataclasses.replace(SynthConfig(), image_size=size)
+        for i, want in enumerate(reference_images(size, name)):
+            assert same_bits(render_image(cfg, PROFILES[name], _image_rng(size, "test", "ood", i)), want), i
+
+    @pytest.mark.parametrize("size", [4, 32, 64])
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    @pytest.mark.parametrize("chunk", [7, 16])
+    def test_painted_chunks_match_reference(self, name, size, chunk):
+        cfg = dataclasses.replace(SynthConfig(), image_size=size)
+        wants = reference_images(size, name)
+        draws = [_draw(cfg, PROFILES[name], _image_rng(size, "test", "ood", i)) for i in range(len(wants))]
+        for start in range(0, len(draws), chunk):
+            painted = _paint(cfg, PROFILES[name], draws[start : start + chunk])
+            assert painted.shape == (min(chunk, len(draws) - start), size, size)
+            for i, got in enumerate(painted, start):
+                assert same_bits(got, wants[i][0]), i
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_generated_tree_matches_reference(self, tmp_path, threads):
+        # Counts that are not multiples of the chunk, and a chunk of one.
+        cfg = dataclasses.replace(SynthConfig(), train_in_dist=17, test_in_dist=1, test_ood=33, ood=ALL_KNOBS_UP, seed=11)
+        generate_synthetic(cfg, tmp_path / "got", threads=threads)
+        write_reference_tree(cfg, tmp_path / "want")
+        got = sorted(p.relative_to(tmp_path / "got") for p in (tmp_path / "got").rglob("*") if p.is_file())
+        want = sorted(p.relative_to(tmp_path / "want") for p in (tmp_path / "want").rglob("*") if p.is_file())
+        assert got == want and len(got) == 17 + 1 + 33 + 1
+        for path in got:
+            assert (tmp_path / "got" / path).read_bytes() == (tmp_path / "want" / path).read_bytes(), path
 
 
 class TestGenerator:
