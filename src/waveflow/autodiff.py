@@ -84,7 +84,6 @@ __all__ = [
     "conv2d_relu",
     "squeeze2x2_array",
     "unsqueeze2x2_array",
-    "finite_diff_grad",
     "Adam",
 ]
 
@@ -583,54 +582,31 @@ def conv2d_relu(x, weight, bias) -> Tensor:
     return Tensor(data, (conv,), lambda g: (g * (data > 0.0),))
 
 
-def finite_diff_grad(loss_fn, params: list[Parameter], epsilon: float = 1e-4) -> list[np.ndarray]:
-    """Central-difference gradient of ``loss_fn()`` w.r.t. each parameter."""
-    grads = []
-    for p in params:
-        g = np.zeros_like(p.data)
-        flat = p.data.reshape(-1)
-        gf = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            f_plus = float(loss_fn())
-            flat[i] = orig - epsilon
-            f_minus = float(loss_fn())
-            flat[i] = orig
-            gf[i] = (f_plus - f_minus) / (2.0 * epsilon)
-        grads.append(g)
-    return grads
+# Adam's moment decay rates and denominator offset.
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
 
 
 class Adam:
     """Adam with bias correction; gradients are cleared after each step."""
 
-    def __init__(
-        self,
-        params: list[Parameter],
-        learning_rate: float = 1e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: list[Parameter], learning_rate: float):
         self.params = list(params)
         self.learning_rate = float(learning_rate)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
         self.step_count += 1
-        bc1 = 1.0 - self.beta1**self.step_count
-        bc2 = 1.0 - self.beta2**self.step_count
+        bc1 = 1.0 - _BETA1**self.step_count
+        bc2 = 1.0 - _BETA2**self.step_count
         for p, m, v in zip(self.params, self._m, self._v):
             g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * g * g
+            p.data -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
             p.grad[...] = 0.0

@@ -69,14 +69,16 @@ class ManifestError(ValueError):
 
 
 def save_image(image: np.ndarray, path: str | os.PathLike) -> None:
-    """Write a [0,1] grayscale image as a binary 8-bit graymap."""
+    """Write a [0,1] grayscale image as a binary 8-bit graymap.
+
+    An image that cannot be written raises a PgmError that names the path."""
     image = np.asarray(image, dtype=np.float64)
     if image.ndim == 3 and image.shape[0] == 1:
         image = image[0]
     if image.ndim != 2:
-        raise PgmError(f"expected a (H,W) or (1,H,W) image, got shape {image.shape}")
+        raise PgmError(f"{path}: expected a (H,W) or (1,H,W) image, got shape {image.shape}")
     if not np.all(np.isfinite(image)) or image.min() < 0.0 or image.max() > 1.0:
-        raise PgmError("image values must be finite and within [0,1]")
+        raise PgmError(f"{path}: image values must be finite and within [0,1]")
     h, w = image.shape
     levels = np.rint(image * 255.0).astype(np.uint8)
     with open(path, "wb") as fh:
@@ -241,6 +243,9 @@ class LesionProfile:
             raise ValueError(f"{name}.radius must stay within (0, 0.5) of the image size")
         if not (0 <= self.contrast[0] and self.contrast[1] <= 1):
             raise ValueError(f"{name}.contrast must stay within [0, 1]")
+        for attr in ("edge_width", "shading", "border_irregularity", "texture"):
+            if not math.isfinite(getattr(self, attr)):
+                raise ValueError(f"{name}.{attr} must be finite, got {getattr(self, attr)}")
         if self.edge_width <= 0:
             raise ValueError(f"{name}.edge_width must be > 0")
         if min(self.shading, self.border_irregularity, self.texture) < 0:
@@ -291,8 +296,8 @@ class SynthConfig:
         lo, hi = self.brightness
         if not (0 <= lo <= hi <= 1):
             raise ValueError(f"brightness range ({lo}, {hi}) must sit inside [0, 1]")
-        if self.background_gradient < 0:
-            raise ValueError("background_gradient must be >= 0")
+        if not 0 <= self.background_gradient < math.inf:
+            raise ValueError(f"background_gradient must be finite and >= 0, got {self.background_gradient}")
         self.in_dist.validate("in_dist")
         self.ood.validate("ood")
 

@@ -23,7 +23,6 @@ from .waveletflow import MIN_SCORING_SIZE, levels_to_score
 __all__ = [
     "auc",
     "roc_points",
-    "trapezoid_area",
     "pooled_histogram",
     "summarize",
     "wavelet_magnitude_score",
@@ -70,12 +69,6 @@ def roc_points(id_scores, ood_scores) -> np.ndarray:
     fp = np.cumsum(np.bincount(descending[:n0], minlength=len(thresholds)))
     tp = np.cumsum(np.bincount(descending[n0:], minlength=len(thresholds)))
     return np.vstack([[0.0, 0.0], np.column_stack([fp / n0, tp / n1])])
-
-
-def trapezoid_area(points: np.ndarray) -> float:
-    points = np.asarray(points, dtype=np.float64)
-    integrate = getattr(np, "trapezoid", None) or np.trapz
-    return float(integrate(points[:, 1], points[:, 0]))
 
 
 def pooled_histogram(id_scores, ood_scores, bins: int = 20):

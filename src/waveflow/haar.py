@@ -78,31 +78,20 @@ def haar_inverse(level: HaarLevel) -> np.ndarray:
     return out
 
 
-def _check_square_pow2(x: np.ndarray) -> int:
+def build_pyramid(x: np.ndarray) -> HaarPyramid:
+    """Full log2(S) analysis of a square power-of-two image or image stack
+    of at least 2x2, leaving a 1x1 residue.  Levels come back finest first;
+    level_index numbers them coarsest = 1.
+    """
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim < 3:
         raise ValueError(f"expected (..., C, S, S), got shape {x.shape}")
     H, W = x.shape[-2:]
     if H != W:
         raise ValueError(f"pyramid input must be square, got {H}x{W}")
-    if H < 1 or (H & (H - 1)) != 0:
-        raise ValueError(f"pyramid input size must be a power of two, got {H}")
-    return H
-
-
-def build_pyramid(x: np.ndarray, depth: int | None = None) -> HaarPyramid:
-    """Repeated analysis of a square power-of-two image or image stack.
-
-    ``depth`` defaults to the full log2(S) decomposition, leaving a 1x1
-    residue.  Levels come back finest first; level_index numbers them
-    coarsest = 1.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    size = _check_square_pow2(x)
-    max_depth = int(np.log2(size)) if size > 1 else 0
-    if depth is None:
-        depth = max_depth
-    if depth < 1 or depth > max_depth:
-        raise ValueError(f"depth {depth} out of range for size {size}")
+    if H < 2 or (H & (H - 1)) != 0:
+        raise ValueError(f"pyramid input size must be a power of two >= 2, got {H}")
+    depth = H.bit_length() - 1
     levels = []
     cur = x
     for pos in range(depth):

@@ -8,12 +8,11 @@ seed, whichever process trains a component and in whatever order.
 longest first by input size.  The calling process trains the bin with
 the heaviest component, each other bin trains in a ``spawn``-started
 worker, and the parent writes the workers' parameters and actnorm state
-back into its model.  With ``n > 1`` every bin trains on one BLAS thread
-and splits each convolution's batch over ``n // bins`` threads
-(``autodiff.batch_threads``), so a one-component Glow model trains on
-``n`` threads in the calling process.  ``workers=1`` trains in the
-calling process, in ``components()`` order, with BLAS and threading
-untouched.
+back into its model.  Every bin trains on one BLAS thread and splits each
+convolution's batch over ``n // bins`` threads (``autodiff.batch_threads``),
+so a one-component Glow model trains on ``n`` threads in the calling
+process.  One bin trains in the calling process, in ``components()``
+order; the caller's BLAS thread count is restored afterwards.
 
 The monitored quantity is the mean train-set NLL on clean
 (un-augmented, un-dequantized) data; training stops after
@@ -156,9 +155,10 @@ def _affine_matrix(params: dict[str, float]) -> np.ndarray:
     return rot @ shear_x @ shear_y * params["scale"]
 
 
-def _warp(plane: np.ndarray, matrix: np.ndarray, tx: float, ty: float) -> np.ndarray:
-    """Inverse-mapped affine warp with bilinear sampling and edge replication."""
-    H, W = plane.shape
+def _warp(image: np.ndarray, matrix: np.ndarray, tx: float, ty: float) -> np.ndarray:
+    """Inverse-mapped affine warp of every plane of a (C,H,W) image, with
+    bilinear sampling and edge replication."""
+    H, W = image.shape[-2:]
     det = matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0]
     if abs(det) < 1e-12:
         raise ValueError("augmentation transform is singular")
@@ -175,8 +175,8 @@ def _warp(plane: np.ndarray, matrix: np.ndarray, tx: float, ty: float) -> np.nda
     y1 = np.minimum(y0 + 1, H - 1)
     fx = src_x - x0
     fy = src_y - y0
-    top = plane[y0, x0] * (1.0 - fx) + plane[y0, x1] * fx
-    bottom = plane[y1, x0] * (1.0 - fx) + plane[y1, x1] * fx
+    top = image[:, y0, x0] * (1.0 - fx) + image[:, y0, x1] * fx
+    bottom = image[:, y1, x0] * (1.0 - fx) + image[:, y1, x1] * fx
     return top * (1.0 - fy) + bottom * fy
 
 
@@ -188,10 +188,7 @@ def augment(image: np.ndarray, rng: np.random.Generator, config: AugmentConfig) 
     if image.ndim != 3:
         raise ValueError(f"augment takes a (C,H,W) image, got shape {image.shape}")
     params = sample_augment_params(rng, config)
-    matrix = _affine_matrix(params)
-    out = np.stack(
-        [_warp(p, matrix, params["translate_x"], params["translate_y"]) for p in image]
-    )
+    out = _warp(image, _affine_matrix(params), params["translate_x"], params["translate_y"])
     return np.clip(out, 0.0, 1.0)
 
 
@@ -297,26 +294,6 @@ def _component_level(name: str) -> int | None:
     return 0 if name == "base" else int(name.removeprefix("level"))
 
 
-def _train_parts(
-    model: FlowModel | WaveletFlowModel, names: list[str], images: np.ndarray, config: TrainConfig
-) -> dict[str, TrainHistory]:
-    """Train the named components one after another in this process."""
-    parts = model.components()
-    clean = model.component_inputs(images)  # shared by every component's monitored NLL
-    histories = {}
-    for name in names:
-        level = _component_level(name)
-        histories[name] = _train_component(
-            parts[name],
-            inputs=lambda batch, name=name: model.component_inputs(batch)[name],
-            images=images,
-            clean=clean[name],
-            config=config,
-            rng=np.random.default_rng([config.seed, _FLOW_STREAM if level is None else level]),
-        )
-    return histories
-
-
 def _bins(parts: dict[str, FlowModel | GaussianBase], workers: int) -> list[list[str]]:
     """Split the component names into ``min(workers, len(parts))`` bins,
     longest first, each into the least loaded bin; a part's cost is the
@@ -377,15 +354,36 @@ def _state(part: FlowModel | GaussianBase) -> tuple[list[np.ndarray], list[tuple
     return [p.data for p in part.parameters()], [(a.initialized, a.warnings) for a in part.actnorm_layers()]
 
 
+def _train_bin(
+    model: FlowModel | WaveletFlowModel, names: list[str], images: np.ndarray, config: TrainConfig, threads: int
+) -> dict[str, TrainHistory]:
+    """Train the named components one after another in this process, on one
+    BLAS thread and ``threads`` convolution threads."""
+    parts = model.components()
+    histories = {}
+    with _one_blas_thread(), ad.batch_threads(threads):
+        clean = model.component_inputs(images)  # shared by every component's monitored NLL
+        for name in names:
+            level = _component_level(name)
+            histories[name] = _train_component(
+                parts[name],
+                inputs=lambda batch, name=name: model.component_inputs(batch)[name],
+                images=images,
+                clean=clean[name],
+                config=config,
+                rng=np.random.default_rng([config.seed, _FLOW_STREAM if level is None else level]),
+            )
+    return histories
+
+
 def _worker(payload: str, threads: int, conn) -> None:
-    """Train the components a payload file names, on one BLAS thread and
-    ``threads`` convolution threads, and send back their histories and
-    states, or the exception that stopped them."""
+    """Train the components a payload file names, as ``_train_bin`` does,
+    and send back their histories and states, or the exception that
+    stopped them."""
     try:
         with open(payload, "rb") as fh:
             model, names, images, config = pickle.load(fh)
-        with _one_blas_thread(), ad.batch_threads(threads):
-            histories = _train_parts(model, names, images, config)
+        histories = _train_bin(model, names, images, config, threads)
         parts = model.components()
         message = ("trained", histories, {name: _state(parts[name]) for name in names})
     except Exception as exc:  # re-raised by the caller, with the worker's traceback as a note
@@ -420,8 +418,7 @@ def _train_in_processes(
                 process.start()
                 send.close()
                 workers.append((names, process, receive))
-            with _one_blas_thread(), ad.batch_threads(threads):
-                histories.update(_train_parts(model, bins[0], images, config))
+            histories.update(_train_bin(model, bins[0], images, config, threads))
             for names, process, receive in workers:
                 try:
                     message = receive.recv()
@@ -465,10 +462,10 @@ def train(
     the base residue model; a pixel flow has no levels).  ``workers`` is
     the number of cores to use: the components are split into at most that
     many bins, and every bin but the heaviest trains in a spawned process.
-    With ``workers > 1`` each bin runs on one BLAS thread and
-    ``workers // bins`` convolution threads; ``workers=1`` leaves BLAS and
-    threading alone.  The result is the same for any value.  Returns one
-    history per trained component, keyed 'flow', 'base', 'level<i>', in
+    Each bin runs on one BLAS thread and ``workers // bins`` convolution
+    threads, and the caller's BLAS thread count is restored afterwards.
+    The result is the same for any value.  Returns one history per
+    trained component, keyed 'flow', 'base', 'level<i>', in
     ``components()`` order.
     """
     config.validate()
@@ -496,7 +493,4 @@ def train(
     if len(bins) > 1:
         histories = _train_in_processes(model, bins, images, config, workers // len(bins))
         return {name: histories[name] for name in parts}
-    if workers == 1:
-        return _train_parts(model, list(parts), images, config)
-    with _one_blas_thread(), ad.batch_threads(workers):
-        return _train_parts(model, list(parts), images, config)
+    return _train_bin(model, list(parts), images, config, workers)

@@ -58,10 +58,10 @@ def levels_to_score(detail_sizes: dict[int, int]) -> tuple[int, ...]:
 class GaussianBase:
     """Gaussian with learned mean and log-std for the 1x1 pyramid residue."""
 
-    def __init__(self, name: str = "base"):
+    def __init__(self):
         self.input_shape = (1, 1, 1)
-        self.mean = ad.Parameter(f"{name}.mean", np.zeros(self.input_shape))
-        self.log_std = ad.Parameter(f"{name}.log_std", np.zeros(self.input_shape))
+        self.mean = ad.Parameter("base.mean", np.zeros(self.input_shape))
+        self.log_std = ad.Parameter("base.log_std", np.zeros(self.input_shape))
 
     def parameters(self) -> list[ad.Parameter]:
         return [self.mean, self.log_std]

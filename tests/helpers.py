@@ -1,5 +1,6 @@
 """Oracles shared by several test modules: a random well-conditioned flow,
-a central-difference log-determinant, a brute-force pairwise AUC, the
+a central-difference log-determinant and parameter gradient, a
+brute-force pairwise AUC, the trapezoid area under ROC points, the
 SHA-256 digest of float64 arrays that bit-exact pins compare, a bit-exact
 comparison of two graphs' outputs and input gradients, the bytes a call's
 result keeps allocated, a residue model that fails when it trains, the
@@ -56,6 +57,25 @@ def numeric_logabsdet(fn, x: np.ndarray, eps: float = 1e-5) -> float:
     return float(logdet)
 
 
+def finite_diff_grad(loss_fn, params: list[ad.Parameter], epsilon: float = 1e-4) -> list[np.ndarray]:
+    """Central-difference gradient of ``loss_fn()`` w.r.t. each parameter."""
+    grads = []
+    for p in params:
+        g = np.zeros_like(p.data)
+        flat = p.data.reshape(-1)
+        gf = g.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + epsilon
+            f_plus = float(loss_fn())
+            flat[i] = orig - epsilon
+            f_minus = float(loss_fn())
+            flat[i] = orig
+            gf[i] = (f_plus - f_minus) / (2.0 * epsilon)
+        grads.append(g)
+    return grads
+
+
 def pairwise_auc(id_scores, ood_scores) -> float:
     """Brute-force oracle: P(ood > id) + 0.5 P(tie) over all pairs."""
     wins = ties = 0
@@ -64,6 +84,13 @@ def pairwise_auc(id_scores, ood_scores) -> float:
             wins += o > i
             ties += o == i
     return (wins + 0.5 * ties) / (len(id_scores) * len(ood_scores))
+
+
+def trapezoid_area(points: np.ndarray) -> float:
+    """Area under (x, y) points by the trapezoid rule."""
+    points = np.asarray(points, dtype=np.float64)
+    integrate = getattr(np, "trapezoid", None) or np.trapz
+    return float(integrate(points[:, 1], points[:, 0]))
 
 
 def digest(*arrays) -> str:

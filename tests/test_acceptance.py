@@ -25,7 +25,7 @@ import pytest
 from waveflow import autodiff as ad
 from waveflow.cli import main as cli_main
 from waveflow.data import SynthConfig, generate_synthetic, load_split
-from waveflow.evaluate import auc, roc_points, trapezoid_area, wavelet_magnitude_score
+from waveflow.evaluate import auc, roc_points, wavelet_magnitude_score
 from waveflow.flows import (
     ActNorm,
     AffineCoupling,
@@ -38,7 +38,7 @@ from waveflow.masks import STRATEGIES, make_mask
 from waveflow.train import TrainConfig, train
 from waveflow.waveletflow import build_waveletflow
 
-from helpers import numeric_logabsdet, pairwise_auc, randomize
+from helpers import finite_diff_grad, numeric_logabsdet, pairwise_auc, randomize, trapezoid_area
 
 
 @contextmanager
@@ -298,7 +298,7 @@ def test_05_gradients_match_finite_differences():
                 p.zero_grad()
             loss_graph().backward()
             analytic = [p.grad.copy() for p in params]
-            numeric = ad.finite_diff_grad(lambda: loss_graph().item(), params)
+            numeric = finite_diff_grad(lambda: loss_graph().item(), params)
             for p, got, want in zip(params, analytic, numeric):
                 rel = float(np.max(np.abs(got - want))) / max(float(np.max(np.abs(want))), 1e-6)
                 worst = max(worst, rel)

@@ -9,7 +9,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
-from helpers import assert_same_graph, held_bytes, same_bits, with_signed_zeros
+from helpers import assert_same_graph, finite_diff_grad, held_bytes, same_bits, with_signed_zeros
 from waveflow import autodiff as ad
 
 
@@ -598,7 +598,7 @@ def test_elementwise_gradients_match_finite_differences(name):
             return _weighted_sum(build(p, const), weights).item()
 
         _weighted_sum(build(p, const), weights).backward()
-        fd = ad.finite_diff_grad(loss_fn, [p])[0]
+        fd = finite_diff_grad(loss_fn, [p])[0]
         assert rel_err(p.grad, fd) < 1e-3, name
 
 
@@ -616,7 +616,7 @@ def test_conv2d_gradients_match_finite_differences(batched):
             return _weighted_sum(ad.conv2d(x, w, b), weights).item()
 
         _weighted_sum(ad.conv2d(x, w, b), weights).backward()
-        fds = ad.finite_diff_grad(loss_fn, [x, w, b])
+        fds = finite_diff_grad(loss_fn, [x, w, b])
         for p, fd in zip((x, w, b), fds):
             assert rel_err(p.grad, fd) < 1e-3, p.name
 
@@ -644,7 +644,7 @@ def test_structural_gradients_match_finite_differences():
         c = _weighted_sum(ad.concat_channels([u]), weights2)
         d = ad.reduce_sum(ad.channel_affine(p, scale, offset), axes=(0, 2, 3))
         ad.add(ad.add(a, c), ad.reduce_sum(ad.mul(d, ad.Tensor(np.array([0.3, -0.2]))))).backward()
-        fds = ad.finite_diff_grad(loss_fn, [p, scale, offset])
+        fds = finite_diff_grad(loss_fn, [p, scale, offset])
         for prm, fd in zip((p, scale, offset), fds):
             assert rel_err(prm.grad, fd) < 1e-3, prm.name
 
@@ -658,7 +658,7 @@ def test_reduce_sum_axis_gradient():
         return ad.reduce_sum(ad.mul(ad.reduce_sum(p, axes=(1, 2, 3)), ad.Tensor(w))).item()
 
     ad.reduce_sum(ad.mul(ad.reduce_sum(p, axes=(1, 2, 3)), ad.Tensor(w))).backward()
-    fd = ad.finite_diff_grad(loss_fn, [p])[0]
+    fd = finite_diff_grad(loss_fn, [p])[0]
     assert rel_err(p.grad, fd) < 1e-3
 
 

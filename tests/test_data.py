@@ -195,6 +195,15 @@ class TestPgm:
         with pytest.raises(PgmError, match="finite"):
             save_image(np.full((2, 2), np.nan), tmp_path / "a.pgm")
 
+    @pytest.mark.parametrize(
+        "image", [np.full((2, 2), np.nan), np.full((2, 2, 2), 0.5)], ids=["values", "shape"]
+    )
+    def test_save_errors_name_the_file(self, tmp_path, image):
+        path = tmp_path / "a.pgm"
+        with pytest.raises(PgmError, match="^" + re.escape(f"{path}: ")):
+            save_image(image, path)
+        assert not path.exists()
+
 
 class TestManifest:
     def _records(self, n):
@@ -404,6 +413,19 @@ class TestGenerator:
         for count in (-1, 0):
             with pytest.raises(ValueError, match="train_in_dist"):
                 dataclasses.replace(SMALL, train_in_dist=count).validate()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "field", ["edge_width", "shading", "border_irregularity", "texture", "background_gradient"]
+    )
+    def test_non_finite_knob_rejected_before_any_file(self, field, value, tmp_path):
+        if field == "background_gradient":
+            config = dataclasses.replace(SMALL, background_gradient=value)
+        else:
+            config = dataclasses.replace(SMALL, ood=dataclasses.replace(SMALL.ood, **{field: value}))
+        with pytest.raises(ValueError, match=field):
+            generate_synthetic(config, tmp_path / "d")
+        assert not (tmp_path / "d").exists()
 
     def test_load_split_missing_selection(self, tmp_path):
         manifest = generate_synthetic(SMALL, tmp_path / "d")

@@ -10,12 +10,11 @@ from waveflow.evaluate import (
     pooled_histogram,
     roc_points,
     summarize,
-    trapezoid_area,
     wavelet_magnitude_score,
 )
 from waveflow.haar import build_pyramid
 
-from helpers import pairwise_auc
+from helpers import pairwise_auc, trapezoid_area
 
 
 class TestAuc:

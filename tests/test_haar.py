@@ -87,13 +87,6 @@ class TestPyramid:
             x = rng.standard_normal((1, size, size))
             np.testing.assert_allclose(reconstruct(build_pyramid(x)), x, atol=1e-10)
 
-    def test_partial_depth(self):
-        x = np.random.default_rng(6).standard_normal((1, 16, 16))
-        pyr = build_pyramid(x, depth=2)
-        assert len(pyr.levels) == 2
-        assert pyr.base.shape == (1, 4, 4)
-        np.testing.assert_allclose(reconstruct(pyr), x, atol=1e-12)
-
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             build_pyramid(np.zeros((1, 8, 16)))
@@ -102,9 +95,9 @@ class TestPyramid:
         with pytest.raises(ValueError):
             build_pyramid(np.zeros((1, 12, 12)))
 
-    def test_excessive_depth_rejected(self):
-        with pytest.raises(ValueError):
-            build_pyramid(np.zeros((1, 8, 8)), depth=4)
+    def test_one_pixel_input_rejected(self):
+        with pytest.raises(ValueError, match="power of two >= 2, got 1"):
+            build_pyramid(np.zeros((1, 1, 1)))
 
 
 class TestBatch:

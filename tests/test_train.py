@@ -26,7 +26,7 @@ from waveflow.train import (
 )
 from waveflow.waveletflow import build_waveletflow
 
-from helpers import FaultyBase, digest
+from helpers import FaultyBase, digest, same_bits
 
 IDENTITY_AUG = AugmentConfig(
     rotation=(0.0, 0.0), translation=(0.0, 0.0), scaling=(1.0, 1.0), shear=(0.0, 0.0)
@@ -95,6 +95,12 @@ class TestAugment:
             assert out.min() >= 0.0 and out.max() <= 1.0
             means.append(out.mean())
         assert abs(np.mean(means) - img.mean()) < 0.15
+
+    def test_planes_share_one_warp(self):
+        img = np.random.default_rng(4).random((3, 9, 7))
+        out = augment(img, np.random.default_rng(6), AugmentConfig())
+        for c in range(3):
+            assert same_bits(out[c : c + 1], augment(img[c : c + 1], np.random.default_rng(6), AugmentConfig()))
 
     def test_two_dim_input_rejected(self):
         with pytest.raises(ValueError, match=r"\(C,H,W\)"):
@@ -647,6 +653,27 @@ class TestWorkers:
         finally:
             if blas is not None:
                 blas[1](initial)
+
+    @pytest.mark.skipif(_openblas() is None, reason="no OpenBLAS bundled with numpy")
+    def test_one_worker_trains_on_one_blas_thread(self, monkeypatch):
+        get, set_ = _openblas()
+        train_module = importlib.import_module("waveflow.train")
+        component = train_module._train_component
+        counts = []
+
+        def recorded(*args, **kwargs):
+            counts.append(get())
+            return component(*args, **kwargs)
+
+        monkeypatch.setattr(train_module, "_train_component", recorded)
+        initial = get()
+        set_(2)  # a count other than the one the bin trains at
+        try:
+            train(build_waveletflow(8, steps_per_level=1, hidden=4), make_blobs(6, 8, seed=1), self.CONFIG, workers=1)
+            assert counts == [1, 1, 1, 1]  # base, level1..3
+            assert get() == 2
+        finally:
+            set_(initial)
 
     @pytest.mark.skipif(_openblas() is None, reason="no OpenBLAS bundled with numpy")
     def test_blas_thread_count_is_restored(self):

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import held_bytes
+from helpers import finite_diff_grad, held_bytes
 from waveflow import autodiff as ad
 from waveflow.evaluate import wavelet_magnitude_score
 from waveflow.flows import build_glow
@@ -209,7 +209,7 @@ class TestScoring:
 
         params = model.base.parameters() + flow.parameters()
         loss_graph().backward()
-        numeric = ad.finite_diff_grad(lambda: loss_graph().item(), params)
+        numeric = finite_diff_grad(lambda: loss_graph().item(), params)
         for p, want in zip(params, numeric):
             rel = float(np.max(np.abs(p.grad - want))) / max(float(np.max(np.abs(want))), 1e-6)
             assert rel < 1e-3, f"{p.name} gradient off by {rel}"
