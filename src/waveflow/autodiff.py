@@ -34,7 +34,11 @@ its output; its backward computes ``x - offset`` again.
 A backward pass reads its parents' ``data`` as the forward pass left it,
 so no tensor's data may be written between the forward and the backward
 pass; training writes parameters only in ``Adam.step``, after the
-backward.
+backward.  A backward consumes its graph: each node drops its parents and
+its backward closure once its gradient has reached them, so the graph's
+arrays are freed during the walk and a training loop holds one graph at
+a time.  Gradients add up across graphs; a second backward through a
+consumed node raises ``RuntimeError``.
 
 Inside ``with batch_threads(n):`` the calling thread's convolutions split
 the batch into ``n`` contiguous sample ranges: a pool of ``n - 1``
@@ -170,8 +174,13 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate d(self)/d(param) into every reachable Parameter.
 
-        ``self`` must be a scalar.  Gradients add up across calls;
-        parameters not connected to this node are left untouched.
+        ``self`` must be a scalar.  Gradients add up across graphs; a
+        backward consumes its graph: each node gives up its parents and its
+        backward closure as its gradient reaches them, so its arrays are
+        freed as the walk goes and nothing of the graph outlives the call.
+        A second backward through a consumed node raises RuntimeError
+        before any gradient moves.  Parameters not connected to this node
+        are left untouched.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar loss, got shape {self.shape}")
@@ -185,27 +194,43 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _consumed:
+                _consumed(None)
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if isinstance(node, Parameter):
-                node.grad += g
-            if node._backward is not None:
-                for parent, pg in zip(node._parents, node._backward(g)):
-                    if pg is None:
-                        continue
-                    cur = grads.get(id(parent))
-                    grads[id(parent)] = pg if cur is None else cur + pg
+        while topo:
+            _propagate(topo.pop(), grads)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
+
+
+def _consumed(g):
+    """The backward closure of a node whose graph a backward has walked."""
+    raise RuntimeError("this graph was consumed by an earlier backward(); build it again")
+
+
+def _propagate(node: Tensor, grads: dict[int, np.ndarray]) -> None:
+    """Cut ``node`` from its graph, then add its gradient into its parents'.
+    The arrays only its closure held are freed on return."""
+    parents, back = node._parents, node._backward
+    if back is not None:
+        node._parents, node._backward = (), _consumed
+    g = grads.pop(id(node), None)
+    if g is None:
+        return
+    if isinstance(node, Parameter):
+        node.grad += g
+    if back is not None:
+        for parent, pg in zip(parents, back(g)):
+            if pg is None:
+                continue
+            cur = grads.get(id(parent))
+            grads[id(parent)] = pg if cur is None else cur + pg
 
 
 class Parameter(Tensor):

@@ -184,6 +184,8 @@ def _load(path: str | os.PathLike) -> FlowModel | WaveletFlowModel:
         model = _BUILDERS[family](**arch)
     except ValueError as exc:
         raise CheckpointError(f"architecture is invalid: {exc}") from exc
+    except MemoryError as exc:
+        raise CheckpointError(f"architecture cannot be allocated: {exc}") from exc
     params = model.parameters()
     for param, entry in zip(params, entries):
         if not isinstance(entry, dict):

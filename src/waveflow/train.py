@@ -26,8 +26,9 @@ best parameters seen so far.  ``train`` takes the images ``score_batch``
 takes (finite, in [0, 1], of the model's image size) and rejects others
 before any component trains.  ``model.component_inputs`` splits each
 batch (one Haar pyramid per batch) and the clean set, once per process
-that trains.  The monitored NLL and actnorm initialization run without an
-autodiff graph; the monitored NLL runs over the clean set in
+that trains.  A batch's backward frees its loss graph, so one graph is
+alive at a time.  The monitored NLL and actnorm initialization run
+without an autodiff graph; the monitored NLL runs over the clean set in
 ``batch_size`` chunks, and since every op is per sample it equals the
 whole-set value bit for bit.
 """
@@ -251,11 +252,6 @@ def _train_component(
                         raise _NonFinite
                     loss.backward()
                     optimizer.step()
-                    # The batch's graph is freed when ``loss`` is rebound, after
-                    # the next forward: the new graph then lies above it, so
-                    # the heap is not trimmed and the forward after that reuses
-                    # its pages warm.  Freeing it here first was measured to
-                    # more than double training's minor page faults.
             # Every op is per sample, so batch-sized chunks give the whole-set
             # value bit for bit without the whole set's activations at once.
             with ad.no_grad():

@@ -81,9 +81,10 @@ def assert_conv_bit_equal(x, input_grad, rng, cout=3, kernel=None, out_grad=None
         g = out_grad
     out = ad.conv2d(x, w, b)
     loss = ad.reduce_sum(ad.mul(out, ad.Tensor(g)))
+    back = out._backward  # the backward pass takes it off the node
     with nullcontext() if backward_threads is None else ad.batch_threads(backward_threads):
         loss.backward()
-        raw = out._backward(g)
+        raw = back(g)
     want = padded_conv2d_reference(x.data, w.data, b.data, g)
     for name, got, ref in zip(("out", "dx", "dW", "db"), (out.data, input_grad(), w.grad, b.grad), want):
         assert same_bits(got, ref), name
@@ -211,10 +212,9 @@ class TestConv2d:
         with ad.batch_threads(2):
             out = ad.conv2d(x, w, b)
             first, second = out._backward(g), out._backward(g)
-            loss = ad.reduce_sum(ad.mul(out, ad.Tensor(g)))
-            loss.backward()
+            ad.reduce_sum(ad.mul(out, ad.Tensor(g))).backward()
             once = [p.grad.copy() for p in (x, w, b)]
-            loss.backward()
+            ad.reduce_sum(ad.mul(ad.conv2d(x, w, b), ad.Tensor(g))).backward()
         want = padded_conv2d_reference(x.data, w.data, b.data, g)
         for name, got, again, ref, grad in zip(("dx", "dW", "db"), first, second, want[1:], once):
             assert same_bits(got, ref) and same_bits(again, ref), name
@@ -425,10 +425,42 @@ class TestBackward:
 
     def test_backward_accumulates_across_calls(self):
         w = ad.Parameter("w", np.array(3.0))
-        loss = ad.mul(w, w)
-        loss.backward()
-        loss.backward()
+        ad.mul(w, w).backward()
+        ad.mul(w, w).backward()
         np.testing.assert_allclose(w.grad, 12.0)
+
+    def test_second_backward_of_a_graph_raises(self):
+        w = ad.Parameter("w", np.array(3.0))
+        loss = ad.mul(ad.exp(w), w)
+        loss.backward()
+        once = w.grad.copy()
+        with pytest.raises(RuntimeError, match="consumed by an earlier backward"):
+            loss.backward()
+        assert same_bits(w.grad, once)
+
+    def test_backward_through_a_consumed_node_raises_before_any_gradient_moves(self):
+        w = ad.Parameter("w", np.array(3.0))
+        v = ad.Parameter("v", np.array(2.0))
+        shared = ad.exp(w)
+        ad.mul(shared, w).backward()
+        once = w.grad.copy()
+        with pytest.raises(RuntimeError, match="consumed by an earlier backward"):
+            ad.add(ad.mul(v, v), ad.mul(shared, v)).backward()
+        assert same_bits(w.grad, once) and same_bits(v.grad, np.zeros(()))
+
+    def test_backward_leaves_no_graph(self):
+        w = ad.Parameter("w", np.array([1.5, -0.5]))
+        inner = ad.exp(w)
+        loss = ad.reduce_sum(ad.mul(inner, w))
+        loss.backward()
+        assert loss._parents == () and inner._parents == ()
+
+    @pytest.mark.parametrize("leaf", ["tensor", "parameter"])
+    def test_leaf_backward_repeats(self, leaf):
+        t = ad.Tensor(np.array(2.0)) if leaf == "tensor" else ad.Parameter("p", np.array(2.0))
+        t.backward()
+        t.backward()
+        assert t.grad is None if leaf == "tensor" else same_bits(t.grad, np.array(2.0))
 
     def test_non_scalar_backward_rejected(self):
         t = ad.Tensor(np.zeros(3))

@@ -245,8 +245,10 @@ def test_damaged_checkpoint_rejected_by_loader_and_cli(damage, wavelet_model, tm
 
 
 # One edited value in a stored checkpoint: (file, edit, expected message).
-# A JSON true is not an integer, step counts are positive, and a conditional
-# flow must be single-scale.
+# A JSON true is not an integer, step counts are positive, a conditional
+# flow must be single-scale, and a model must be allocatable: a hidden width
+# of 10**12 asks for a 262 TiB kernel, more than an x86-64 process can
+# address (128 TiB), so the allocation fails at once without touching memory.
 STORED_DAMAGE = {
     "glow-K-true": ("glow_4px.json", lambda p: p["architecture"].update(K=True), "'K' must be a int"),
     "format-version-true": ("glow_4px.json", lambda p: p.update(format_version=True), "format_version"),
@@ -260,6 +262,11 @@ STORED_DAMAGE = {
         "glow_4px.json",
         lambda p: p["architecture"].update(cond_channels=1),
         "architecture is invalid: .*single-scale",
+    ),
+    "glow-hidden-unallocatable": (
+        "glow_4px.json",
+        lambda p: p["architecture"].update(hidden=10**12),
+        "architecture cannot be allocated",
     ),
 }
 

@@ -6,6 +6,7 @@ import multiprocessing
 import re
 import tempfile
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -454,6 +455,46 @@ class TestGlowTraining:
         assert not any(layer.initialized for layer in model.actnorm_layers())
         train(model, images, TrainConfig(batch_size=8, max_epochs=1, augment=None))
         assert all(layer.initialized for layer in model.actnorm_layers())
+
+
+class TestTrainingMemory:
+    def test_one_loss_graph_alive_at_a_time(self, monkeypatch):
+        # Two training steps of the benchmark's Glow (K=4 L=2, 32 px, hidden
+        # 24, batches of 32) on one thread, under tracemalloc.  A step's
+        # backward frees its graph, so the next forward builds on the level
+        # the first one started from and the peak holds one graph, not two.
+        model = build_glow(K=4, L=2, in_channels=1, image_size=32, hidden=24, seed=0)
+        steps = []
+        forward = model.log_prob_graph
+
+        def log_prob_graph(x, cond=None):
+            if ad._grad_mode.enabled:  # a loss forward, not a monitored pass
+                tracemalloc.reset_peak()
+                steps.append({"start": tracemalloc.get_traced_memory()[0]})
+            return forward(x, cond)
+
+        backward = ad.Tensor.backward
+
+        def measured_backward(loss):
+            steps[-1]["graph"] = tracemalloc.get_traced_memory()[0]
+            backward(loss)
+            steps[-1]["after"], steps[-1]["peak"] = tracemalloc.get_traced_memory()
+
+        monkeypatch.setattr(model, "log_prob_graph", log_prob_graph)
+        monkeypatch.setattr(ad.Tensor, "backward", measured_backward)
+        tracemalloc.start()
+        try:
+            train(model, make_blobs(64, 32, seed=0), TrainConfig(batch_size=32, max_epochs=1, augment=None))
+        finally:
+            tracemalloc.stop()
+        assert len(steps) == 2
+        level = steps[0]["start"]
+        graph = steps[0]["graph"] - level
+        slack = 64 * 1024  # the loss scalar and Python objects, against a 28 MB graph
+        assert graph > 400 * slack
+        for step in steps:
+            assert step["after"] - level < slack
+        assert steps[1]["peak"] - level < 1.5 * graph
 
 
 class TestWaveletTraining:
